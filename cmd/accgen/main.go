@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"accv"
+	"accv/internal/ast"
 )
 
 func main() {
@@ -22,15 +23,9 @@ func main() {
 	)
 	flag.Parse()
 
-	langs := []accv.Language{accv.C, accv.Fortran}
-	switch *lang {
-	case "c":
-		langs = []accv.Language{accv.C}
-	case "fortran", "f":
-		langs = []accv.Language{accv.Fortran}
-	case "both", "all":
-	default:
-		fatal(fmt.Errorf("unknown language %q", *lang))
+	langs, err := ast.ParseLangs(*lang)
+	if err != nil {
+		fatal(err)
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {

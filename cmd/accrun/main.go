@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"accv"
+	"accv/internal/ast"
 )
 
 func main() {
@@ -37,18 +38,12 @@ func main() {
 		fatal(err)
 	}
 
-	l := accv.C
-	switch {
-	case *lang == "fortran" || *lang == "f":
+	l, err := ast.ParseLang(*lang)
+	if err != nil {
+		fatal(err)
+	}
+	if *lang == "" && (strings.HasSuffix(path, ".f") || strings.HasSuffix(path, ".f90") || strings.HasSuffix(path, ".F90")) {
 		l = accv.Fortran
-	case *lang == "c":
-		l = accv.C
-	case *lang == "":
-		if strings.HasSuffix(path, ".f") || strings.HasSuffix(path, ".f90") || strings.HasSuffix(path, ".F90") {
-			l = accv.Fortran
-		}
-	default:
-		fatal(fmt.Errorf("unknown language %q", *lang))
 	}
 
 	ver := *version

@@ -12,6 +12,10 @@ import (
 	"time"
 
 	"accv"
+	"accv/internal/ast"
+	"accv/internal/core"
+	"accv/internal/interp"
+	"accv/internal/sweep"
 )
 
 // cliFlags gathers every accval flag; each registrar below installs the
@@ -140,6 +144,9 @@ func writeTo(path string, stdout io.Writer, f func(io.Writer) error) error {
 	return f(w)
 }
 
+// retryBackoff is the first -retry backoff; it doubles per attempt.
+const retryBackoff = 50 * time.Millisecond
+
 // runOptions maps the shared flags onto facade options, validating the
 // enum-valued ones.
 func (f *cliFlags) runOptions(observer *accv.Observer) ([]accv.Option, error) {
@@ -156,68 +163,51 @@ func (f *cliFlags) runOptions(observer *accv.Observer) ([]accv.Option, error) {
 		opts = append(opts, accv.WithFailFast())
 	}
 	if f.retries > 0 {
-		opts = append(opts, accv.WithRetry(f.retries, 50*time.Millisecond))
+		opts = append(opts, accv.WithRetry(f.retries, retryBackoff))
 	}
-	vetPolicy, err := parseVet(f.vet)
+	vet, err := core.ParseVetPolicy(f.vet)
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts, accv.WithVet(vetPolicy))
-	eng, err := parseEngine(f.engine)
+	engine, err := interp.ParseEngine(f.engine)
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts, accv.WithEngine(eng))
-	return opts, nil
+	return append(opts, accv.WithVet(vet), accv.WithEngine(engine)), nil
 }
 
-// parseVet maps the -vet flag onto the facade's vet policies.
-func parseVet(s string) (accv.VetPolicy, error) {
-	switch s {
-	case "on", "", "true", "enforce":
-		return accv.VetEnforce, nil
-	case "warn":
-		return accv.VetWarnOnly, nil
-	case "off", "false":
-		return accv.VetOff, nil
+// sweepOptions maps the sweep flags onto the sweep executor's options.
+func (f *cliFlags) sweepOptions(observer *accv.Observer) (sweep.Options, error) {
+	langs, err := ast.ParseLangs(f.lang)
+	if err != nil {
+		return sweep.Options{}, err
 	}
-	return accv.VetEnforce, fmt.Errorf("unknown -vet policy %q (want on, warn, or off)", s)
-}
-
-// parseEngine maps the -engine flag onto the facade's execution engines.
-func parseEngine(s string) (accv.Engine, error) {
-	switch s {
-	case "vm", "":
-		return accv.EngineVM, nil
-	case "tree":
-		return accv.EngineTree, nil
-	case "spmd":
-		return accv.EngineSPMD, nil
+	vet, err := core.ParseVetPolicy(f.vet)
+	if err != nil {
+		return sweep.Options{}, err
 	}
-	var zero accv.Engine
-	return zero, fmt.Errorf("unknown -engine %q (want vm, tree, or spmd)", s)
-}
-
-func parseLangs(s string) ([]accv.Language, error) {
-	switch s {
-	case "c":
-		return []accv.Language{accv.C}, nil
-	case "fortran", "f":
-		return []accv.Language{accv.Fortran}, nil
-	case "both", "all":
-		return []accv.Language{accv.C, accv.Fortran}, nil
+	engine, err := interp.ParseEngine(f.engine)
+	if err != nil {
+		return sweep.Options{}, err
 	}
-	return nil, fmt.Errorf("unknown language %q (want c, fortran, or both)", s)
-}
-
-func parseFormat(s string) (accv.ReportFormat, error) {
-	switch s {
-	case "text", "":
-		return accv.Text, nil
-	case "csv":
-		return accv.CSV, nil
-	case "html":
-		return accv.HTML, nil
+	opts := sweep.Options{
+		Langs:        langs,
+		Family:       f.family,
+		Parallelism:  f.jobs,
+		Iterations:   f.iterations,
+		Timeout:      f.timeout,
+		Vet:          vet,
+		Engine:       engine,
+		FailFast:     f.failFast,
+		Obs:          observer,
+		StoreDir:     f.store,
+		StoreCap:     f.storeCap,
+		UnitDeadline: f.shardDeadline,
+		Retries:      f.shardRetries,
 	}
-	return accv.Text, fmt.Errorf("unknown format %q", s)
+	if f.retries > 0 {
+		opts.Retry = core.RetryPolicy{Attempts: f.retries, Backoff: retryBackoff}
+	}
+	err = f.addWorkers(&opts)
+	return opts, err
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"accv"
+	"accv/internal/ast"
 )
 
 func cmdLegacy(argv []string, stdout, stderr io.Writer) int {
@@ -81,7 +82,7 @@ func printFeatures(stdout io.Writer) {
 // vendor compilers — the "tabular column" §VI describes but omits for
 // space.
 func runMatrix(f *cliFlags, stdout, stderr io.Writer) int {
-	langs, err := parseLangs(f.lang)
+	langs, err := ast.ParseLangs(f.lang)
 	if err != nil {
 		return fail(stderr, err)
 	}

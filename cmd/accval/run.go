@@ -9,6 +9,8 @@ import (
 	"sort"
 
 	"accv"
+	"accv/internal/ast"
+	"accv/internal/report"
 )
 
 func cmdRun(args []string, stdout, stderr io.Writer) int {
@@ -31,7 +33,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 // legacy flat-flag form both funnel through it, which is what keeps
 // their stdout byte-identical (cli_test.go).
 func execSuite(f *cliFlags, observer *accv.Observer, stdout, stderr io.Writer) int {
-	langs, err := parseLangs(f.lang)
+	langs, err := ast.ParseLangs(f.lang)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -58,7 +60,7 @@ func execSuite(f *cliFlags, observer *accv.Observer, stdout, stderr io.Writer) i
 		defer file.Close()
 		w = file
 	}
-	fm, err := parseFormat(f.format)
+	fm, err := report.ParseFormat(f.format)
 	if err != nil {
 		return fail(stderr, err)
 	}

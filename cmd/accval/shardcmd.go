@@ -1,21 +1,20 @@
-// The sharded sweep path (`accval sweep -shards N` / `-workers URLS`)
-// and the hidden `accval shard-worker` verb the forked workers run. The
-// coordinator lives in internal/shard; this file only maps flags onto it
-// and funnels the merged result through the same finishSweep renderer as
-// the in-process sweep, so sharded stdout is byte-identical
-// (docs/PERFORMANCE.md, "Sharded sweeps").
+// The sweep's out-of-process workers (`accval sweep -shards N` /
+// `-workers URLS`) and the hidden `accval shard-worker` verb the forked
+// workers run. The coordinator lives in internal/sweep; this file only
+// maps flags onto workers, and execSweep renders every sweep the same
+// way, so sharded stdout is byte-identical (docs/PERFORMANCE.md,
+// "Sharded sweeps").
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"strings"
 
-	"accv"
 	"accv/internal/shard"
+	"accv/internal/sweep"
 )
 
 // shardWorkerArgv yields the argv forked shard workers run; the CLI
@@ -31,75 +30,38 @@ var shardWorkerArgv = func() ([]string, error) {
 // shardWorkerEnv yields the forked workers' environment (nil: inherit).
 var shardWorkerEnv = func() []string { return nil }
 
-// execShardedSweep fans the sweep out across worker processes (or remote
-// accvd instances) and renders the merged result.
-func execShardedSweep(f *cliFlags, langs []accv.Language, observer *accv.Observer, stdout, stderr io.Writer) int {
-	spec := shard.Spec{
-		Family:     f.family,
-		Iterations: f.iterations,
-		TimeoutMS:  f.timeout.Milliseconds(),
-		Vet:        f.vet,
-		Engine:     f.engine,
-		FailFast:   f.failFast,
-		StoreDir:   f.store,
-		StoreCap:   f.storeCap,
-	}
-	if f.retries > 0 {
-		spec.RetryAttempts = f.retries
-		spec.RetryBackoffMS = 50
-	}
-
-	var (
-		workers []shard.Worker
-		factory shard.Factory
-	)
+// addWorkers points opts at the out-of-process workers -workers or
+// -shards asks for; with neither, the sweep runs in-process.
+func (f *cliFlags) addWorkers(opts *sweep.Options) error {
 	if f.workers != "" {
 		for _, base := range strings.Split(f.workers, ",") {
-			base = strings.TrimSpace(base)
-			if base == "" {
-				continue
+			if base = strings.TrimSpace(base); base != "" {
+				opts.Workers = append(opts.Workers, shard.NewHTTPWorker(base, nil))
 			}
-			workers = append(workers, shard.NewHTTPWorker(base, nil))
 		}
-		if len(workers) == 0 {
-			return fail(stderr, fmt.Errorf("-workers %q names no worker URLs", f.workers))
+		if len(opts.Workers) == 0 {
+			return fmt.Errorf("-workers %q names no worker URLs", f.workers)
 		}
-		// Remote daemons size their own inner parallelism per request;
-		// leave Spec.Parallelism at the workers' default.
-	} else {
-		argv, err := shardWorkerArgv()
-		if err != nil {
-			return fail(stderr, err)
-		}
-		env := shardWorkerEnv()
-		for i := 0; i < f.shards; i++ {
-			workers = append(workers, shard.NewProcWorker(argv, env))
-		}
-		factory = shard.ProcFactory(argv, env)
-		// Split the -j budget across the forked workers (each is its own
-		// process, so the default budget is GOMAXPROCS, same as the
-		// in-process sweep's).
-		jobs := f.jobs
-		if jobs <= 0 {
-			jobs = runtime.GOMAXPROCS(0)
-		}
-		spec.Parallelism = jobs / len(workers)
-		if spec.Parallelism < 1 {
-			spec.Parallelism = 1
-		}
+		return nil // without -j, remote daemons size their own parallelism
 	}
-
-	res, err := shard.Run(context.Background(), f.compiler, langs, spec, shard.Options{
-		Workers:      workers,
-		Factory:      factory,
-		UnitDeadline: f.shardDeadline,
-		Retries:      f.shardRetries,
-		Obs:          observer,
-	})
+	if f.shards <= 0 {
+		return nil
+	}
+	argv, err := shardWorkerArgv()
 	if err != nil {
-		return fail(stderr, err)
+		return err
 	}
-	return finishSweep(f, observer, res, stdout, stderr)
+	env := shardWorkerEnv()
+	for range f.shards {
+		opts.Workers = append(opts.Workers, shard.NewProcWorker(argv, env))
+	}
+	opts.Factory = shard.ProcFactory(argv, env)
+	// Forked workers share this host, so they split its -j budget
+	// (default GOMAXPROCS, as in-process).
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	return nil
 }
 
 // cmdShardWorker is the hidden worker verb: serve shard units over
@@ -111,7 +73,7 @@ func cmdShardWorker(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "accval shard-worker: takes no arguments (it is forked by `accval sweep -shards`)")
 		return 2
 	}
-	if err := shard.ServeStdio(os.Stdin, stdout, shard.NewExecutor(shard.ExecOptions{})); err != nil {
+	if err := shard.ServeStdio(os.Stdin, stdout, sweep.NewExecutor(sweep.ExecOptions{})); err != nil {
 		fmt.Fprintln(stderr, "accval shard-worker:", err)
 		return 1
 	}

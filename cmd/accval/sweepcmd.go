@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"accv"
+	"accv/internal/sweep"
 )
 
 func cmdSweep(args []string, stdout, stderr io.Writer) int {
@@ -29,43 +30,21 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	return execSweep(&f, observer, stdout, stderr)
 }
 
-// execSweep runs the memoized cross-version sweep and prints the legacy
-// pass-rate table; the flat-flag -sweep form funnels through it too, so
-// the table bytes cannot drift (cli_test.go). Store telemetry goes to
-// stderr only, keeping stdout identical with and without -store.
+// execSweep runs the memoized cross-version sweep — in-process, or
+// fanned out over forked (-shards) or remote (-workers) workers — and
+// prints the legacy pass-rate table; the flat-flag -sweep form funnels
+// through it too, so the table bytes cannot drift (cli_test.go). Store
+// telemetry goes to stderr only, keeping stdout identical with and
+// without -store.
 func execSweep(f *cliFlags, observer *accv.Observer, stdout, stderr io.Writer) int {
-	langs, err := parseLangs(f.lang)
+	opts, err := f.sweepOptions(observer)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	if f.shards > 0 || f.workers != "" {
-		return execShardedSweep(f, langs, observer, stdout, stderr)
-	}
-	runOpts, err := f.runOptions(observer)
+	res, err := sweep.Run(context.Background(), f.compiler, opts)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	opts := append(append([]accv.Option(nil), runOpts...), accv.WithLangs(langs...))
-	var st *accv.ResultStore
-	if f.store != "" {
-		st, err = accv.OpenStore(f.store, accv.WithObs(observer), accv.WithStoreCap(f.storeCap))
-		if err != nil {
-			return fail(stderr, err)
-		}
-		opts = append(opts, accv.WithResultStore(st))
-	}
-	res, err := accv.RunSweep(context.Background(), f.compiler, opts...)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	return finishSweep(f, observer, res, stdout, stderr)
-}
-
-// finishSweep renders a completed sweep — in-process or sharded — the
-// same way: the Fig. 8 table on stdout, store telemetry on stderr,
-// snapshots, then the observability exports. Shared so the sharded
-// path's bytes cannot drift from the unsharded one's.
-func finishSweep(f *cliFlags, observer *accv.Observer, res *accv.SweepResult, stdout, stderr io.Writer) int {
 	printSweepTable(stdout, f.compiler, res)
 	if f.store != "" {
 		fmt.Fprintf(stderr, "accval: store %s: %d disk hits, %d memo hits, %d executions this sweep\n",

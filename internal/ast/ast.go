@@ -31,6 +31,33 @@ func (l Lang) String() string {
 	return "c"
 }
 
+// ParseLang maps a language name onto a Lang: "c" (or empty) and
+// "fortran" (or "f"). Every command-line flag and wire field naming one
+// language parses through it.
+func ParseLang(s string) (Lang, error) {
+	switch s {
+	case "c", "":
+		return LangC, nil
+	case "fortran", "f":
+		return LangFortran, nil
+	}
+	return LangC, fmt.Errorf("unknown lang %q (want c or fortran)", s)
+}
+
+// ParseLangs is ParseLang plus "both" (or "all"), which selects C and
+// Fortran in that order — the -lang spelling of the commands that run
+// several language columns.
+func ParseLangs(s string) ([]Lang, error) {
+	if s == "both" || s == "all" {
+		return []Lang{LangC, LangFortran}, nil
+	}
+	l, err := ParseLang(s)
+	if err != nil {
+		return nil, fmt.Errorf("unknown lang %q (want c, fortran, or both)", s)
+	}
+	return []Lang{l}, nil
+}
+
 // Basic enumerates the scalar base types of the test languages.
 type Basic int
 

@@ -156,6 +156,22 @@ func (p VetPolicy) String() string {
 	return "enforce"
 }
 
+// ParseVetPolicy maps a policy name onto a VetPolicy: "on", "enforce",
+// "true" or empty enforce; "warn" warns only; "off" or "false" turns
+// analysis off. Every command-line flag and wire field naming a vet
+// policy parses through it.
+func ParseVetPolicy(s string) (VetPolicy, error) {
+	switch s {
+	case "on", "enforce", "true", "":
+		return VetEnforce, nil
+	case "warn":
+		return VetWarnOnly, nil
+	case "off", "false":
+		return VetOff, nil
+	}
+	return VetEnforce, fmt.Errorf("unknown vet policy %q (want on, warn, or off)", s)
+}
+
 // Config parameterizes a suite run.
 type Config struct {
 	// Toolchain is the compiler + device runtime under validation.

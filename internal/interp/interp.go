@@ -11,6 +11,7 @@ package interp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -51,6 +52,21 @@ func (e Engine) String() string {
 		return "spmd"
 	}
 	return "vm"
+}
+
+// ParseEngine maps an engine name onto an Engine: "vm" (or empty),
+// "tree", or "spmd". Every command-line flag and wire field naming an
+// engine parses through it.
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "vm", "":
+		return EngineVM, nil
+	case "tree":
+		return EngineTree, nil
+	case "spmd":
+		return EngineSPMD, nil
+	}
+	return EngineVM, fmt.Errorf("unknown engine %q (want vm, tree, or spmd)", s)
 }
 
 // RunConfig parameterizes one program execution.
@@ -300,9 +316,9 @@ type Interp struct {
 	// spmd enables lane-batched nest execution (EngineSPMD without
 	// RaceCheck). The batched/fallback/masked counters feed the
 	// accv_spmd_* telemetry series through Result.
-	spmd        bool
-	spmdBatched atomic.Int64
-	spmdMasked  atomic.Int64
+	spmd          bool
+	spmdBatched   atomic.Int64
+	spmdMasked    atomic.Int64
 	spmdMu        sync.Mutex
 	spmdFallbacks map[string]int64
 

@@ -14,6 +14,10 @@ import (
 	"strings"
 
 	"accv"
+	"accv/internal/ast"
+	"accv/internal/core"
+	"accv/internal/interp"
+	"accv/internal/sweep"
 )
 
 // Admission cost estimates, in interpreted operations — the currency of
@@ -59,7 +63,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "source must be non-empty")
 		return
 	}
-	lang, err := parseLang(req.Lang)
+	lang, err := ast.ParseLang(req.Lang)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -106,7 +110,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "max_ops and timeout_ms must be non-negative")
 		return
 	}
-	lang, err := parseLang(req.Lang)
+	lang, err := ast.ParseLang(req.Lang)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -116,7 +120,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeUnknownCompiler, err.Error())
 		return
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := interp.ParseEngine(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -181,7 +185,7 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "source must be non-empty")
 		return
 	}
-	lang, err := parseLang(req.Lang)
+	lang, err := ast.ParseLang(req.Lang)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -298,19 +302,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		langs = append(langs, accv.C)
 	}
 	for _, l := range req.Langs {
-		lang, err := parseLang(l)
+		lang, err := ast.ParseLang(l)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 			return
 		}
 		langs = append(langs, lang)
 	}
-	vet, err := parseVet(req.Vet)
+	vet, err := core.ParseVetPolicy(req.Vet)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := interp.ParseEngine(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -330,38 +334,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if par == 0 {
 		par = s.cfg.DefaultParallelism
 	}
-	opts := []accv.Option{
-		accv.WithLangs(langs...),
-		accv.WithIterations(orDefault(req.Iterations, 3)),
-		accv.WithParallelism(par),
-		accv.WithVet(vet),
-		accv.WithEngine(engine),
-		accv.WithObs(s.obs),
-		accv.WithCompileCache(s.cache),
-	}
-	if !s.cfg.NoMemo {
-		// The cross-request memo: sweeps repeated across requests (CI
-		// jobs re-validating every release) are served from the shared
-		// single-flight table, and concurrent identical sweeps coalesce
-		// per test execution.
-		opts = append(opts, accv.WithSweepMemo(s.memo))
-		if s.store != nil {
-			// The persistent store behind the memo: verdicts survive
-			// daemon restarts, so a freshly started accvd serves repeat
-			// sweeps from disk instead of re-executing (docs/STORE.md).
-			opts = append(opts, accv.WithResultStore(s.store))
-		}
-	} else {
-		opts = append(opts, accv.WithoutSweepMemo())
-	}
-	if req.Family != "" {
-		opts = append(opts, accv.WithFamily(req.Family))
-	}
-	if req.TimeoutMS > 0 {
-		opts = append(opts, accv.WithTimeout(msDuration(req.TimeoutMS)))
-	}
-
-	res, runErr := accv.RunSweep(r.Context(), req.Vendor, opts...)
+	// The daemon's executor carries the cross-request memo (repeated
+	// sweeps are served from it, concurrent identical ones coalesce per
+	// test execution) and the pinned -store behind it, so verdicts survive
+	// daemon restarts (docs/STORE.md).
+	res, runErr := sweep.Run(r.Context(), req.Vendor, sweep.Options{
+		Langs:       langs,
+		Family:      req.Family,
+		Parallelism: par,
+		Iterations:  orDefault(req.Iterations, 3),
+		Timeout:     msDuration(req.TimeoutMS),
+		Vet:         vet,
+		Engine:      engine,
+		Obs:         s.obs,
+		NoMemo:      s.cfg.NoMemo,
+		Exec:        s.exec,
+	})
 	if runErr != nil {
 		if errors.Is(runErr, context.Canceled) || r.Context().Err() != nil {
 			writeError(w, statusClientClosedRequest, codeCanceled, runErr.Error())
@@ -407,21 +395,17 @@ func (s *Server) handleShardRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	lang, err := parseLang(req.Unit.Lang)
+	lang, err := ast.ParseLang(req.Unit.Lang)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	if _, err := parseVet(req.Spec.Vet); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		return
-	}
-	if _, err := parseEngine(req.Spec.Engine); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		return
-	}
-	if req.Spec.Iterations < 0 || req.Spec.Parallelism < 0 || req.Spec.TimeoutMS < 0 {
+	if req.Spec.Parallelism < 0 {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "iterations, parallelism, and timeout_ms must be non-negative")
+		return
+	}
+	if err := req.Spec.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
 	versions := accv.Versions(req.Unit.Vendor)
@@ -446,12 +430,7 @@ func (s *Server) handleShardRun(w http.ResponseWriter, r *http.Request) {
 				req.Unit.Version, req.Unit.Vendor, strings.Join(versions, ", ")))
 		return
 	}
-	n := 0
-	for _, t := range accv.AllTemplates() {
-		if t.Lang == lang && (req.Spec.Family == "" || t.Family == req.Spec.Family) {
-			n++
-		}
-	}
+	n := len(sweep.TemplatesFor(req.Spec.Family, lang))
 	from, to := req.Unit.From, req.Unit.To
 	if to == 0 || to > n {
 		to = n
@@ -476,7 +455,7 @@ func (s *Server) handleShardRun(w http.ResponseWriter, r *http.Request) {
 	if spec.Parallelism == 0 {
 		spec.Parallelism = s.cfg.DefaultParallelism
 	}
-	res, runErr := s.shardExec.Run(r.Context(), req.Unit, spec)
+	res, runErr := s.exec.Run(r.Context(), req.Unit, spec)
 	if runErr != nil {
 		if r.Context().Err() != nil {
 			writeError(w, statusClientClosedRequest, codeCanceled, runErr.Error())

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -372,6 +373,54 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("/metrics missing %s after a served request", want)
+		}
+	}
+}
+
+// TestConcurrentSweepMemoCounters pins per-request memo accounting: two
+// different-family sweeps running at once share the daemon's memo table,
+// yet each response's memo and store counters account for exactly its
+// own tests — every test is a memo hit, a memo miss, or a store hit.
+func TestConcurrentSweepMemoCounters(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	families := []string{"data", "loop"}
+	resps := make([]SweepResponse, len(families))
+	errs := make([]error, len(families))
+	var wg sync.WaitGroup
+	for i, fam := range families {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(SweepRequest{Vendor: "pgi", Family: fam, Iterations: 1,
+				Langs: []string{"c", "fortran"}})
+			resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&resps[i])
+		}()
+	}
+	wg.Wait()
+	for i, fam := range families {
+		if errs[i] != nil {
+			t.Fatalf("%s sweep: %v", fam, errs[i])
+		}
+		total := 0
+		for _, row := range resps[i].Cells {
+			for _, cell := range row {
+				total += cell.Total
+			}
+		}
+		r := resps[i]
+		if got := r.MemoHits + r.MemoMisses + r.StoreHits; got != int64(total) || total == 0 {
+			t.Errorf("%s sweep: memo_hits %d + memo_misses %d + store_hits %d = %d, want the %d tests it ran",
+				fam, r.MemoHits, r.MemoMisses, r.StoreHits, got, total)
 		}
 	}
 }

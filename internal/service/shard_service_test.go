@@ -38,8 +38,8 @@ func normalizeShardResult(r *ShardRunResponse) *ShardRunResponse {
 func TestShardRunEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	unit := shard.Unit{Vendor: "pgi", Version: accv.Versions("pgi")[0], Lang: "c"}
-	spec := shard.Spec{Family: "data", Iterations: 1}
+	unit := sweep.Unit{Vendor: "pgi", Version: accv.Versions("pgi")[0], Lang: "c"}
+	spec := sweep.Spec{Family: "data", Iterations: 1}
 
 	var got ShardRunResponse
 	resp := postJSON(t, ts.URL+"/v1/shard/run", ShardRunRequest{Unit: unit, Spec: spec}, &got)
@@ -47,7 +47,7 @@ func TestShardRunEndpoint(t *testing.T) {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
 
-	want, err := shard.NewExecutor(shard.ExecOptions{}).Run(context.Background(), unit, spec)
+	want, err := sweep.NewExecutor(sweep.ExecOptions{}).Run(context.Background(), unit, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func TestShardRunEndpoint(t *testing.T) {
 func TestShardRunSubrange(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	unit := shard.Unit{Vendor: "cray", Version: accv.Versions("cray")[0], Lang: "c", From: 1, To: 3}
-	spec := shard.Spec{Family: "data", Iterations: 1}
+	unit := sweep.Unit{Vendor: "cray", Version: accv.Versions("cray")[0], Lang: "c", From: 1, To: 3}
+	spec := sweep.Spec{Family: "data", Iterations: 1}
 
 	var got ShardRunResponse
 	resp := postJSON(t, ts.URL+"/v1/shard/run", ShardRunRequest{Unit: unit, Spec: spec}, &got)
@@ -79,8 +79,8 @@ func TestShardRunSubrange(t *testing.T) {
 		t.Fatalf("echoed range [%d:%d), want [1:3)", got.Unit.From, got.Unit.To)
 	}
 
-	whole, err := shard.NewExecutor(shard.ExecOptions{}).Run(context.Background(),
-		shard.Unit{Vendor: "cray", Version: unit.Version, Lang: "c"}, spec)
+	whole, err := sweep.NewExecutor(sweep.ExecOptions{}).Run(context.Background(),
+		sweep.Unit{Vendor: "cray", Version: unit.Version, Lang: "c"}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +100,9 @@ func TestShardedSweepOverHTTPWorkers(t *testing.T) {
 	_, tsA := newTestServer(t, Config{})
 	_, tsB := newTestServer(t, Config{})
 
-	spec := shard.Spec{Family: "data", Iterations: 1}
-	got, err := shard.Run(context.Background(), "pgi", []accv.Language{accv.C}, spec,
-		shard.Options{Workers: []shard.Worker{
+	got, err := sweep.Run(context.Background(), "pgi", sweep.Options{
+		Langs: []accv.Language{accv.C}, Family: "data", Iterations: 1,
+		Workers: []sweep.Worker{
 			shard.NewHTTPWorker(tsA.URL, nil),
 			shard.NewHTTPWorker(tsB.URL, nil),
 		}})
@@ -151,23 +151,23 @@ func TestShardRunBadRequests(t *testing.T) {
 		wantCode string
 	}{
 		{"unknown lang",
-			ShardRunRequest{Unit: shard.Unit{Vendor: "pgi", Version: pgiVer, Lang: "rust"}},
+			ShardRunRequest{Unit: sweep.Unit{Vendor: "pgi", Version: pgiVer, Lang: "rust"}},
 			codeBadRequest},
 		{"unknown vendor",
-			ShardRunRequest{Unit: shard.Unit{Vendor: "gcc", Version: "13.2", Lang: "c"}},
+			ShardRunRequest{Unit: sweep.Unit{Vendor: "gcc", Version: "13.2", Lang: "c"}},
 			codeUnknownCompiler},
 		{"unknown version",
-			ShardRunRequest{Unit: shard.Unit{Vendor: "pgi", Version: "99.9", Lang: "c"}},
+			ShardRunRequest{Unit: sweep.Unit{Vendor: "pgi", Version: "99.9", Lang: "c"}},
 			codeUnknownCompiler},
 		{"range outside cell",
 			ShardRunRequest{
-				Unit: shard.Unit{Vendor: "pgi", Version: pgiVer, Lang: "c", From: 5, To: 2},
-				Spec: shard.Spec{Family: "data"}},
+				Unit: sweep.Unit{Vendor: "pgi", Version: pgiVer, Lang: "c", From: 5, To: 2},
+				Spec: sweep.Spec{Family: "data"}},
 			codeBadRequest},
 		{"bad engine",
 			ShardRunRequest{
-				Unit: shard.Unit{Vendor: "pgi", Version: pgiVer, Lang: "c"},
-				Spec: shard.Spec{Engine: "warp"}},
+				Unit: sweep.Unit{Vendor: "pgi", Version: pgiVer, Lang: "c"},
+				Spec: sweep.Spec{Engine: "warp"}},
 			codeBadRequest},
 	}
 	for _, tc := range cases {

@@ -6,15 +6,18 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
 
 	"accv"
 	"accv/internal/analysis"
+	"accv/internal/ast"
 	"accv/internal/compiler"
-	"accv/internal/shard"
+	"accv/internal/core"
+	"accv/internal/interp"
+	"accv/internal/report"
+	"accv/internal/sweep"
 )
 
 // Error codes of the error envelope (docs/SERVICE.md, "Errors").
@@ -73,57 +76,6 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// parseLang maps the wire language names onto the facade's.
-func parseLang(s string) (accv.Language, error) {
-	switch s {
-	case "c", "":
-		return accv.C, nil
-	case "fortran", "f":
-		return accv.Fortran, nil
-	}
-	return accv.C, fmt.Errorf("unknown lang %q (want c or fortran)", s)
-}
-
-// parseVet mirrors accval's -vet flag values.
-func parseVet(s string) (accv.VetPolicy, error) {
-	switch s {
-	case "on", "", "enforce":
-		return accv.VetEnforce, nil
-	case "warn":
-		return accv.VetWarnOnly, nil
-	case "off":
-		return accv.VetOff, nil
-	}
-	return accv.VetEnforce, fmt.Errorf("unknown vet policy %q (want on, warn, or off)", s)
-}
-
-// parseEngine mirrors accval's -engine flag values.
-func parseEngine(s string) (accv.Engine, error) {
-	switch s {
-	case "vm", "":
-		return accv.EngineVM, nil
-	case "tree":
-		return accv.EngineTree, nil
-	case "spmd":
-		return accv.EngineSPMD, nil
-	}
-	var zero accv.Engine
-	return zero, fmt.Errorf("unknown engine %q (want vm, tree, or spmd)", s)
-}
-
-// parseFormat mirrors accval's -format flag values.
-func parseFormat(s string) (accv.ReportFormat, error) {
-	switch s {
-	case "text", "":
-		return accv.Text, nil
-	case "csv":
-		return accv.CSV, nil
-	case "html":
-		return accv.HTML, nil
-	}
-	return accv.Text, fmt.Errorf("unknown format %q (want text, csv, or html)", s)
 }
 
 // newToolchain resolves a compiler name/version the way accval does:
@@ -315,11 +267,11 @@ type SweepResponse struct {
 // The daemon ignores the spec's store_dir/store_cap — persistence is
 // pinned by its own -store flag, so remote coordinators cannot point the
 // daemon at arbitrary directories (docs/SERVICE.md).
-type ShardRunRequest = shard.RunRequest
+type ShardRunRequest = sweep.RunRequest
 
 // ShardRunResponse is the completed unit: the per-template results for
 // the unit's slots in slot order, plus the worker-side memo telemetry.
-type ShardRunResponse = shard.UnitResult
+type ShardRunResponse = sweep.UnitResult
 
 // DiffRequest compares two release snapshots (POST /v1/diff). The
 // snapshots travel inline, in exactly the JSON form `accval run
@@ -345,19 +297,19 @@ type HealthResponse struct {
 // blocking and streaming suite endpoints. It returns the parsed language
 // and report format alongside.
 func (s *Server) suiteOptions(req SuiteRequest) (accv.Language, accv.ReportFormat, []accv.Option, error) {
-	lang, err := parseLang(req.Lang)
+	lang, err := ast.ParseLang(req.Lang)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	format, err := parseFormat(req.Format)
+	format, err := report.ParseFormat(req.Format)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	vet, err := parseVet(req.Vet)
+	vet, err := core.ParseVetPolicy(req.Vet)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := interp.ParseEngine(req.Engine)
 	if err != nil {
 		return 0, 0, nil, err
 	}

@@ -1,9 +1,9 @@
 // HTTPWorker: dispatch units to a remote accvd instance through its
 // POST /v1/shard/run endpoint (docs/SERVICE.md). Unlike a subprocess, a
 // remote worker survives its own unit failures — errors here are unit
-// errors the coordinator retries against the budget, never ErrWorkerDown
-// — and context expiry simply cancels the HTTP request (the daemon
-// unwinds the run cooperatively).
+// errors the coordinator retries against the budget, never
+// sweep.ErrWorkerDown — and context expiry simply cancels the HTTP
+// request (the daemon unwinds the run cooperatively).
 package shard
 
 import (
@@ -14,6 +14,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"accv/internal/sweep"
 )
 
 // HTTPWorker runs units on one accvd base URL ("http://host:port").
@@ -31,10 +33,10 @@ func NewHTTPWorker(base string, client *http.Client) *HTTPWorker {
 	return &HTTPWorker{base: strings.TrimRight(base, "/"), client: client}
 }
 
-// Run POSTs the unit and decodes the UnitResult (or the accvd error
+// Run POSTs the unit and decodes the sweep.UnitResult (or the accvd error
 // envelope, surfaced as an ordinary retryable unit error).
-func (w *HTTPWorker) Run(ctx context.Context, u Unit, spec Spec) (*UnitResult, error) {
-	body, err := json.Marshal(RunRequest{Unit: u, Spec: spec})
+func (w *HTTPWorker) Run(ctx context.Context, u sweep.Unit, spec sweep.Spec) (*sweep.UnitResult, error) {
+	body, err := json.Marshal(sweep.RunRequest{Unit: u, Spec: spec})
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +64,7 @@ func (w *HTTPWorker) Run(ctx context.Context, u Unit, spec Spec) (*UnitResult, e
 		}
 		return nil, fmt.Errorf("shard: unit %s: %s: HTTP %d", u, w.base, resp.StatusCode)
 	}
-	var res UnitResult
+	var res sweep.UnitResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		return nil, fmt.Errorf("shard: unit %s: %s: decoding result: %w", u, w.base, err)
 	}

@@ -16,12 +16,14 @@ import (
 	"os/exec"
 	"sync"
 	"sync/atomic"
+
+	"accv/internal/sweep"
 )
 
 // ProcWorker speaks the stdio shard protocol to one subprocess, started
 // lazily on the first Run. After the subprocess dies (crash, kill, or a
 // deadline-forced abort) the worker is spent: every later Run reports
-// ErrWorkerDown and the coordinator replaces it.
+// sweep.ErrWorkerDown and the coordinator replaces it.
 type ProcWorker struct {
 	argv []string
 	env  []string
@@ -45,8 +47,8 @@ func NewProcWorker(argv []string, env []string) *ProcWorker {
 
 // ProcFactory returns a Factory forking fresh copies of argv — the
 // respawn half of crash recovery.
-func ProcFactory(argv []string, env []string) Factory {
-	return func() (Worker, error) { return NewProcWorker(argv, env), nil }
+func ProcFactory(argv []string, env []string) sweep.Factory {
+	return func() (sweep.Worker, error) { return NewProcWorker(argv, env), nil }
 }
 
 func (w *ProcWorker) start() error {
@@ -73,26 +75,26 @@ func (w *ProcWorker) start() error {
 // error message for a unit that failed inside a healthy worker (the
 // worker stays up; the coordinator retries the unit elsewhere).
 type procReply struct {
-	Result *UnitResult `json:"result,omitempty"`
-	Error  string      `json:"error,omitempty"`
+	Result *sweep.UnitResult `json:"result,omitempty"`
+	Error  string            `json:"error,omitempty"`
 }
 
 // Run dispatches one unit to the subprocess. Context expiry kills the
 // subprocess — the stdio protocol has no way to abandon one response
-// mid-stream — and reports ErrWorkerDown so the coordinator respawns.
-func (w *ProcWorker) Run(ctx context.Context, u Unit, spec Spec) (*UnitResult, error) {
+// mid-stream — and reports sweep.ErrWorkerDown so the coordinator respawns.
+func (w *ProcWorker) Run(ctx context.Context, u sweep.Unit, spec sweep.Spec) (*sweep.UnitResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead {
-		return nil, fmt.Errorf("shard: unit %s: %w", u, ErrWorkerDown)
+		return nil, fmt.Errorf("shard: unit %s: %w", u, sweep.ErrWorkerDown)
 	}
 	if w.cmd == nil {
 		if err := w.start(); err != nil {
 			w.dead = true
-			return nil, fmt.Errorf("shard: starting worker: %v: %w", err, ErrWorkerDown)
+			return nil, fmt.Errorf("shard: starting worker: %v: %w", err, sweep.ErrWorkerDown)
 		}
 	}
-	if err := json.NewEncoder(w.in).Encode(RunRequest{Unit: u, Spec: spec}); err != nil {
+	if err := json.NewEncoder(w.in).Encode(sweep.RunRequest{Unit: u, Spec: spec}); err != nil {
 		return nil, w.died(u, err)
 	}
 	type reply struct {
@@ -109,7 +111,7 @@ func (w *ProcWorker) Run(ctx context.Context, u Unit, spec Spec) (*UnitResult, e
 		w.kill()
 		<-ch // the decode fails once the pipe closes; don't leak the goroutine
 		w.reap()
-		return nil, fmt.Errorf("shard: unit %s: %v: %w", u, ctx.Err(), ErrWorkerDown)
+		return nil, fmt.Errorf("shard: unit %s: %v: %w", u, ctx.Err(), sweep.ErrWorkerDown)
 	case r := <-ch:
 		if r.err != nil {
 			return nil, w.died(u, r.err)
@@ -126,16 +128,16 @@ func (w *ProcWorker) Run(ctx context.Context, u Unit, spec Spec) (*UnitResult, e
 
 // died marks the worker spent after a protocol failure (EOF means the
 // subprocess crashed mid-unit).
-func (w *ProcWorker) died(u Unit, cause error) error {
+func (w *ProcWorker) died(u sweep.Unit, cause error) error {
 	w.kill()
 	w.reap()
-	return fmt.Errorf("shard: unit %s: worker died: %v: %w", u, cause, ErrWorkerDown)
+	return fmt.Errorf("shard: unit %s: worker died: %v: %w", u, cause, sweep.ErrWorkerDown)
 }
 
 // Kill terminates the subprocess abruptly (SIGKILL on unix) — the
 // crash-recovery tests' injection point. Safe to call from another
 // goroutine while a Run is blocked on the worker's reply; that Run then
-// fails with ErrWorkerDown.
+// fails with sweep.ErrWorkerDown.
 func (w *ProcWorker) Kill() {
 	if p := w.proc.Load(); p != nil {
 		p.Kill()
@@ -174,11 +176,11 @@ func (w *ProcWorker) Close() error {
 // each on the executor, encode one procReply per request to w. Returns
 // nil on clean EOF. This is what `accval shard-worker` runs over
 // stdin/stdout.
-func ServeStdio(r io.Reader, w io.Writer, ex *Executor) error {
+func ServeStdio(r io.Reader, w io.Writer, ex *sweep.Executor) error {
 	dec := json.NewDecoder(r)
 	enc := json.NewEncoder(w)
 	for {
-		var req RunRequest
+		var req sweep.RunRequest
 		if err := dec.Decode(&req); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil

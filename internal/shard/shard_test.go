@@ -1,7 +1,7 @@
-// The coordinator's correctness suite: differential identity against the
-// unsharded sweep, the stdio worker protocol (including a real mid-sweep
-// SIGKILL), deadline + bounded-retry exhaustion, work stealing, and the
-// telemetry contract for the accv_shard_* series.
+// The sharded sweep's correctness suite: differential identity against
+// the in-process sweep, the stdio worker protocol (including a real
+// mid-sweep SIGKILL), deadline + bounded-retry exhaustion, work stealing,
+// and the telemetry contract for the accv_shard_* series.
 package shard
 
 import (
@@ -77,11 +77,11 @@ func TestShardedSweepMatchesUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex := NewExecutor(ExecOptions{})
-			got, err := Run(context.Background(), vendor, langs,
-				Spec{Iterations: 1},
-				Options{Workers: []Worker{
-					&LocalWorker{Exec: ex}, &LocalWorker{Exec: ex}, &LocalWorker{Exec: ex},
+			ex := sweep.NewExecutor(sweep.ExecOptions{})
+			got, err := sweep.Run(context.Background(), vendor, sweep.Options{
+				Langs: langs, Iterations: 1,
+				Workers: []sweep.Worker{
+					&sweep.LocalWorker{Exec: ex}, &sweep.LocalWorker{Exec: ex}, &sweep.LocalWorker{Exec: ex},
 				}})
 			if err != nil {
 				t.Fatal(err)
@@ -101,7 +101,7 @@ func TestShardWorkerHelper(t *testing.T) {
 	if os.Getenv(helperEnv) != "1" {
 		t.Skip("stdio worker re-exec helper; spawned by the proc tests")
 	}
-	if err := ServeStdio(os.Stdin, os.Stdout, NewExecutor(ExecOptions{})); err != nil {
+	if err := ServeStdio(os.Stdin, os.Stdout, sweep.NewExecutor(sweep.ExecOptions{})); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -122,17 +122,17 @@ func TestProcWorkerRoundTrip(t *testing.T) {
 	argv, env := helperWorker()
 	w := NewProcWorker(argv, env)
 	defer w.Close()
-	u := Unit{Vendor: "pgi", Version: vendors.All()["pgi"][0], Lang: "c"}
-	spec := Spec{Family: "data", Iterations: 1}
+	u := sweep.Unit{Vendor: "pgi", Version: vendors.All()["pgi"][0], Lang: "c"}
+	spec := sweep.Spec{Family: "data", Iterations: 1}
 	got, err := w.Run(context.Background(), u, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewExecutor(ExecOptions{}).Run(context.Background(), u, spec)
+	want, err := sweep.NewExecutor(sweep.ExecOptions{}).Run(context.Background(), u, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalizeUnit := func(r *UnitResult) *UnitResult {
+	normalizeUnit := func(r *sweep.UnitResult) *sweep.UnitResult {
 		out := *r
 		out.DurationMS = 0
 		out.Results = append([]core.TestResult(nil), r.Results...)
@@ -153,7 +153,7 @@ func TestProcWorkerCrashRecovery(t *testing.T) {
 	argv, env := helperWorker()
 	o := obs.NewObserver()
 	victim := NewProcWorker(argv, env)
-	workers := []Worker{victim, NewProcWorker(argv, env)}
+	workers := []sweep.Worker{victim, NewProcWorker(argv, env)}
 
 	// SIGKILL the victim the moment its subprocess exists — its first
 	// unit is then guaranteed to be mid-flight.
@@ -166,8 +166,8 @@ func TestProcWorkerCrashRecovery(t *testing.T) {
 		victim.Kill()
 	}()
 
-	spec := Spec{Family: "data", Iterations: 1}
-	got, err := Run(context.Background(), "pgi", []ast.Lang{ast.LangC}, spec, Options{
+	got, err := sweep.Run(context.Background(), "pgi", sweep.Options{
+		Langs: []ast.Lang{ast.LangC}, Family: "data", Iterations: 1,
 		Workers: workers,
 		Factory: ProcFactory(argv, env),
 		Obs:     o,
@@ -197,7 +197,7 @@ func TestProcWorkerCrashRecovery(t *testing.T) {
 // per-unit deadline fires and reports the (retryable) context error.
 type hangWorker struct{}
 
-func (hangWorker) Run(ctx context.Context, u Unit, spec Spec) (*UnitResult, error) {
+func (hangWorker) Run(ctx context.Context, u sweep.Unit, spec sweep.Spec) (*sweep.UnitResult, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -208,16 +208,16 @@ func (hangWorker) Close() error { return nil }
 // fails the run with a diagnosable error.
 func TestUnitDeadlineExhaustsRetryBudget(t *testing.T) {
 	o := obs.NewObserver()
-	_, err := Run(context.Background(), "pgi", []ast.Lang{ast.LangC},
-		Spec{Family: "data"},
-		Options{
-			Workers:      []Worker{hangWorker{}},
-			UnitDeadline: 10 * time.Millisecond,
-			Retries:      2,
-			StealAfter:   -1,
-			Versions:     vendors.All()["pgi"][:1],
-			Obs:          o,
-		})
+	_, err := sweep.Run(context.Background(), "pgi", sweep.Options{
+		Langs:        []ast.Lang{ast.LangC},
+		Family:       "data",
+		Workers:      []sweep.Worker{hangWorker{}},
+		UnitDeadline: 10 * time.Millisecond,
+		Retries:      2,
+		StealAfter:   -1,
+		Versions:     vendors.All()["pgi"][:1],
+		Obs:          o,
+	})
 	if err == nil || !strings.Contains(err.Error(), "failed after 3 dispatches") {
 		t.Fatalf("err = %v, want the exhausted-retry diagnosis", err)
 	}
@@ -230,10 +230,10 @@ func TestUnitDeadlineExhaustsRetryBudget(t *testing.T) {
 // enough for the steal clock to see it as a straggler.
 type slowWorker struct {
 	delay time.Duration
-	ex    *Executor
+	ex    *sweep.Executor
 }
 
-func (w *slowWorker) Run(ctx context.Context, u Unit, spec Spec) (*UnitResult, error) {
+func (w *slowWorker) Run(ctx context.Context, u sweep.Unit, spec sweep.Spec) (*sweep.UnitResult, error) {
 	select {
 	case <-time.After(w.delay):
 	case <-ctx.Done():
@@ -247,12 +247,13 @@ func (w *slowWorker) Close() error { return nil }
 // dispatch is slow: the idle worker must steal the in-flight unit's upper
 // half, and the speculative duplication must not corrupt the merge.
 func TestWorkStealingResplitsSlowUnit(t *testing.T) {
-	ex := NewExecutor(ExecOptions{})
+	ex := sweep.NewExecutor(sweep.ExecOptions{})
 	o := obs.NewObserver()
 	ver := vendors.All()["pgi"][:1]
-	spec := Spec{Family: "data", Iterations: 1}
-	got, err := Run(context.Background(), "pgi", []ast.Lang{ast.LangC}, spec, Options{
-		Workers: []Worker{
+	spec := sweep.Spec{Family: "data", Iterations: 1}
+	got, err := sweep.Run(context.Background(), "pgi", sweep.Options{
+		Langs: []ast.Lang{ast.LangC}, Family: spec.Family, Iterations: spec.Iterations,
+		Workers: []sweep.Worker{
 			&slowWorker{delay: 120 * time.Millisecond, ex: ex},
 			&slowWorker{delay: 120 * time.Millisecond, ex: ex},
 		},
@@ -267,8 +268,8 @@ func TestWorkStealingResplitsSlowUnit(t *testing.T) {
 	if n := o.Metrics.Counter("accv_shard_units_stolen_total").Value(); n < 1 {
 		t.Fatalf("accv_shard_units_stolen_total = %d, want >= 1", n)
 	}
-	want, err := NewExecutor(ExecOptions{}).Run(context.Background(),
-		Unit{Vendor: "pgi", Version: ver[0], Lang: "c"}, spec)
+	want, err := sweep.NewExecutor(sweep.ExecOptions{}).Run(context.Background(),
+		sweep.Unit{Vendor: "pgi", Version: ver[0], Lang: "c"}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

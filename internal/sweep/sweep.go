@@ -1,8 +1,12 @@
 // Package sweep runs cross-version validation sweeps — the paper's §V
 // evaluation workload (Table I, Fig. 8): one suite per (version × lang)
-// cell of a vendor family — with memoized execution. Per cell and
-// template it computes a behavioral fingerprint (fingerprint.go) and
-// shares one execution per distinct fingerprint across the whole sweep
+// cell of a vendor family. Run is the one sweep executor. Its coordinator
+// (coordinator.go) queues one work unit per cell, dispatches units to
+// workers — in-process LocalWorkers by default, forked or remote ones
+// from internal/shard on request — and merges the results into
+// template-index slots. Every unit runs on an Executor (exec.go), which
+// computes a behavioral fingerprint per (cell, template)
+// (fingerprint.go) and shares one execution per distinct fingerprint
 // through a single-flight core.MemoTable, so a template whose compiled
 // behavior does not change between two releases executes once. Reports
 // rendered from a memoized sweep are byte-identical to a naive
@@ -13,11 +17,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"accv/internal/ast"
-	"accv/internal/compiler"
 	"accv/internal/core"
 	"accv/internal/interp"
 	"accv/internal/obs"
@@ -25,56 +27,96 @@ import (
 )
 
 // Options parameterizes a sweep. The zero value sweeps the C templates
-// with the core defaults at GOMAXPROCS parallelism.
+// with the core defaults on GOMAXPROCS in-process workers.
 type Options struct {
 	// Langs selects the languages (default: C only). Each language is a
 	// column of cells across every version.
 	Langs []ast.Lang
 	// Family restricts the template set (empty: the full 1.0 registry).
 	Family string
-	// Parallelism is the total worker budget, the -j of accval: it is
-	// split across concurrent cells, and within a cell it becomes the
-	// core scheduler's Workers. Default GOMAXPROCS.
+	// Parallelism is the total worker budget, the -j of accval. It is
+	// split evenly across the workers and becomes each worker's core
+	// scheduler width per unit. Zero means GOMAXPROCS for in-process
+	// workers and each worker's own default when Workers is set.
 	Parallelism int
 	// Iterations, Timeout, Vet, Engine, Retry, FailFast mirror core.Config
 	// and apply to every cell identically (a sweep varies the version,
-	// nothing else). FailFast is per cell: a failure cancels that cell's
-	// remaining tests, not the other cells.
+	// nothing else). Timeout and Retry.Backoff travel to workers in whole
+	// milliseconds, and Retry always classifies with core's default
+	// (TransientlyFlaky). FailFast is per unit: a failure cancels that
+	// cell's remaining tests, not the other cells.
 	Iterations int
 	Timeout    time.Duration
 	Vet        core.VetPolicy
 	Engine     interp.Engine
 	Retry      core.RetryPolicy
 	FailFast   bool
-	// Obs receives the per-cell suite telemetry plus the sweep counters
-	// accv_sweep_memo_{hits,misses}_total and the per-version
-	// accv_sweep_saved_runs gauge (docs/OBSERVABILITY.md).
+	// Obs receives the coordinator telemetry — accv_shard_* and the
+	// per-cell accv_sweep_saved_runs gauge (docs/OBSERVABILITY.md) — and,
+	// through the default Executor, the per-cell suite telemetry.
 	Obs *obs.Observer
 	// NoMemo disables fingerprint memoization: every cell runs naively.
 	// This is the differential-testing baseline; it is never faster.
 	NoMemo bool
-	// Cache, when non-nil, is used as the sweep's compiled-program cache
-	// instead of a fresh per-run one. A long-lived owner (the accvd
-	// service) shares one cache across every request, so repeat sweeps
-	// start compile-warm. Version and language are in the key, so sharing
-	// is always sound.
-	Cache *compiler.Cache
-	// Memo, when non-nil (and NoMemo is false), is used as the sweep's
-	// result memo instead of a fresh per-run table. Fingerprints are
-	// salted with the effective run configuration, so one table may be
-	// shared across sweeps with different options — only behaviorally
-	// identical executions ever collide, and concurrent identical sweeps
-	// coalesce through the table's single-flight entries.
-	Memo *core.MemoTable
-	// Store, when non-nil (and NoMemo is false), backs the memo with a
-	// persistent result store (internal/store): the sweep warms from it
-	// before executing anything and writes every verdict through, so
-	// repeated sweeps across processes and CI jobs start warm. Because
-	// fingerprints are salted with the effective run configuration, one
-	// store directory may serve sweeps with different options safely.
-	// Result.StoreHits reports this sweep's disk hits, disjoint from the
-	// memo counters (docs/STORE.md).
-	Store core.ResultStore
+	// Exec is the executor in-process workers run on, with its compile
+	// cache, memo table, and store shared across every sweep it serves
+	// (the accvd service keeps one). Nil builds a fresh one observed by
+	// Obs.
+	Exec *Executor
+	// StoreDir, when non-empty (and NoMemo is false), is the persistent
+	// result store (internal/store) the sweep warms from before executing
+	// anything and writes every verdict through, so repeated sweeps
+	// across processes and CI jobs start warm. StoreCap bounds it (0:
+	// the store default). An Exec with a pinned store ignores both.
+	StoreDir string
+	StoreCap int
+
+	// Workers, when set, replace the in-process pool: the coordinator
+	// dispatches to them (forked or remote workers, internal/shard),
+	// takes ownership, and closes them — and any respawned replacements —
+	// when Run returns.
+	Workers []Worker
+	// Factory replaces workers that fail with ErrWorkerDown. Nil means a
+	// crashed worker's slot is simply retired; the run still completes
+	// on the surviving workers.
+	Factory Factory
+	// UnitDeadline bounds one unit dispatch (0: none). A unit past its
+	// deadline is re-queued against its retry budget.
+	UnitDeadline time.Duration
+	// Retries is the per-unit re-dispatch budget after failures
+	// (default 3; negative: none). Exhausting it fails the run.
+	Retries int
+	// StealAfter is how long a unit must be in flight before an idle
+	// worker may steal (re-split) it (0: default 2s; negative: stealing
+	// disabled). The in-process pool never steals.
+	StealAfter time.Duration
+	// MinSteal is the smallest in-flight template range worth splitting
+	// (default 8; a range below 2×MinSteal is never split).
+	MinSteal int
+	// Versions restricts the sweep to a subset of the vendor's releases
+	// (tests and partial re-runs; empty: all of them).
+	Versions []string
+}
+
+// spec is the run shape every worker applies: the Options fields that
+// shape a cell's results.
+func (o Options) spec() Spec {
+	s := Spec{
+		Family:     o.Family,
+		Iterations: o.Iterations,
+		TimeoutMS:  o.Timeout.Milliseconds(),
+		Vet:        o.Vet.String(),
+		Engine:     o.Engine.String(),
+		FailFast:   o.FailFast,
+		NoMemo:     o.NoMemo,
+		StoreDir:   o.StoreDir,
+		StoreCap:   o.StoreCap,
+	}
+	if o.Retry.Attempts > 0 {
+		s.RetryAttempts = o.Retry.Attempts
+		s.RetryBackoffMS = o.Retry.Backoff.Milliseconds()
+	}
+	return s
 }
 
 // Result is a completed sweep: the per-cell suite results in
@@ -87,184 +129,75 @@ type Result struct {
 	// Versions[vi] run over the Langs[li] template set.
 	Cells [][]*core.SuiteResult
 	// MemoHits is the number of test executions the memo table saved;
-	// MemoMisses is the number actually executed. Both are zero under
+	// MemoMisses is the number actually executed. Both are sums of this
+	// sweep's per-unit counters, so concurrent sweeps sharing one memo
+	// table never count each other's traffic, and both are zero under
 	// NoMemo.
 	MemoHits, MemoMisses int64
 	// StoreHits is the number of tests served from the persistent result
-	// store (Options.Store) — executions some earlier process already
-	// paid for. Disjoint from MemoHits and MemoMisses; zero without a
-	// store.
+	// store — executions some earlier process already paid for. Disjoint
+	// from MemoHits and MemoMisses; zero without a store.
 	StoreHits int64
 	Duration  time.Duration
 }
 
 // Run sweeps every simulated version of a vendor family ("caps", "pgi",
-// "cray") across the selected languages. Cancellation of ctx returns the
-// partial result with interrupted tests marked Canceled and err carrying
-// ctx.Err(), matching core.RunSuiteContext.
+// "cray") across the selected languages. Without Options.Workers it runs
+// min(Parallelism, cells) in-process LocalWorkers over one Executor,
+// each with an equal share of the budget and no work stealing. On
+// cancellation of ctx, or when every worker is gone, the result is still
+// returned: slots no unit filled hold Canceled results, and err says why
+// (ctx.Err() on cancellation).
 func Run(ctx context.Context, vendor string, opts Options) (*Result, error) {
 	versions := vendors.All()[vendor]
 	if len(versions) == 0 {
 		return nil, fmt.Errorf("sweep: no simulated versions for compiler %q (use caps, pgi, or cray)", vendor)
 	}
+	if len(opts.Versions) > 0 {
+		versions = opts.Versions
+	}
 	langs := opts.Langs
 	if len(langs) == 0 {
 		langs = []ast.Lang{ast.LangC}
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	spec := opts.spec()
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 
-	// One toolchain per cell (SetVet mutates vendor options, so cells
-	// must not share instances), applied eagerly so the fingerprint
-	// semantics key never observes a half-configured toolchain.
-	type cell struct {
-		vi, li int
-		tc     compiler.Toolchain
-	}
-	var cells []cell
-	for vi := range versions {
-		for li := range langs {
-			tc, err := vendors.New(vendor, versions[vi])
-			if err != nil {
+	workers, par := opts.Workers, opts.Parallelism
+	if len(workers) == 0 {
+		if par <= 0 {
+			par = runtime.GOMAXPROCS(0)
+		}
+		ex := opts.Exec
+		if ex == nil {
+			ex = NewExecutor(ExecOptions{Obs: opts.Obs})
+		}
+		if !spec.NoMemo {
+			// Open the store up front: a bad directory is a usage error,
+			// not a unit failure to retry.
+			if _, err := ex.store(spec); err != nil {
 				return nil, err
 			}
-			if opts.Vet == core.VetOff {
-				if vc, ok := tc.(compiler.VetConfigurable); ok {
-					vc.SetVet(compiler.VetOff)
-				}
-			}
-			cells = append(cells, cell{vi: vi, li: li, tc: tc})
 		}
-	}
-
-	// Split the worker budget: up to par cells in flight, each cell's
-	// inner scheduler gets an equal share (at least 1). With J ≥ number
-	// of cells the split goes wide across cells, which is where the memo
-	// table's single-flight pays off; with J=1 the sweep degenerates to
-	// the sequential loop, still memoized.
-	cellPar := par
-	if cellPar > len(cells) {
-		cellPar = len(cells)
-	}
-	inner := par / cellPar
-	if inner < 1 {
-		inner = 1
-	}
-
-	baseCfg := core.Config{
-		Iterations: opts.Iterations,
-		Timeout:    opts.Timeout,
-		Workers:    inner,
-		Vet:        opts.Vet,
-		Engine:     opts.Engine,
-		Retry:      opts.Retry,
-		FailFast:   opts.FailFast,
-		Obs:        opts.Obs,
-	}
-	var (
-		memo  *core.MemoTable
-		fps   *Fingerprinter
-		cache = opts.Cache
-	)
-	if cache == nil {
-		cache = compiler.NewCache() // version is in the key: no cross-cell collisions
-	}
-	if !opts.NoMemo {
-		memo = opts.Memo
-		if memo == nil {
-			memo = core.NewMemoTable()
+		for range min(par, len(versions)*len(langs)) {
+			workers = append(workers, &LocalWorker{Exec: ex})
 		}
-		fps = NewFingerprinter(ConfigSalt(baseCfg.WithDefaults()))
+		opts.StealAfter = -1
 	}
-	// Shared tables carry lifetime totals; report this run's share as the
-	// delta so Result.MemoHits/Misses keep their per-sweep meaning.
-	var memoHits0, memoMisses0 int64
-	if memo != nil {
-		memoHits0, memoMisses0 = memo.Stats()
+	if par > 0 {
+		spec.Parallelism = max(par/len(workers), 1)
 	}
-
-	start := time.Now()
-	res := &Result{Vendor: vendor, Versions: versions, Langs: langs}
-	res.Cells = make([][]*core.SuiteResult, len(versions))
-	for vi := range versions {
-		res.Cells[vi] = make([]*core.SuiteResult, len(langs))
-	}
-
-	jobs := make(chan cell, len(cells))
-	for _, c := range cells {
-		jobs <- c
-	}
-	close(jobs)
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < cellPar; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				cfg := baseCfg
-				cfg.Toolchain = c.tc
-				cfg.Cache = cache
-				if memo != nil {
-					cfg.Memo = memo
-					cfg.Fingerprint = fps.For(c.tc)
-					cfg.Store = opts.Store
-				}
-				templates := templatesFor(opts.Family, langs[c.li])
-				sr, err := core.RunSuiteContext(ctx, cfg, templates)
-				mu.Lock()
-				res.Cells[c.vi][c.li] = sr
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				if opts.Obs != nil && sr != nil {
-					opts.Obs.SetGauge("accv_sweep_saved_runs", float64(sr.MemoHits),
-						obs.L("compiler", vendor),
-						obs.L("version", versions[c.vi]),
-						obs.L("lang", langs[c.li].String()))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	res.Duration = time.Since(start)
-	if memo != nil {
-		hits, misses := memo.Stats()
-		res.MemoHits, res.MemoMisses = hits-memoHits0, misses-memoMisses0
-	}
-	// Disk hits are per-cell suite telemetry (shared stores carry other
-	// processes' traffic, so the cells — not the store's lifetime
-	// counters — are this sweep's share).
-	for vi := range res.Cells {
-		for li := range res.Cells[vi] {
-			if sr := res.Cells[vi][li]; sr != nil {
-				res.StoreHits += int64(sr.StoreHits)
-			}
-		}
-	}
-	return res, firstErr
+	return coordinate(ctx, vendor, versions, langs, spec, workers, opts)
 }
 
 // TemplatesFor returns the template set one sweep cell runs — one
-// family's slice, or the whole 1.0 registry for the language. The shard
-// coordinator (internal/shard) indexes its work units into exactly this
-// order, so the selection lives here, shared, and cannot drift between
-// the in-process sweep and the sharded one.
+// family's slice, or the whole 1.0 registry for the language. Work units
+// index into exactly this order.
 func TemplatesFor(family string, lang ast.Lang) []*core.Template {
 	if family != "" {
 		return core.ByFamily(family, lang)
 	}
 	return core.ByLang(lang)
-}
-
-func templatesFor(family string, lang ast.Lang) []*core.Template {
-	return TemplatesFor(family, lang)
 }

@@ -3,13 +3,19 @@ package sweep_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"testing"
 
 	"accv/internal/ast"
+	"accv/internal/core"
 	"accv/internal/report"
+	"accv/internal/shard"
 	"accv/internal/sweep"
 	_ "accv/internal/templates"
+	"accv/internal/vendors"
 )
 
 // TestSweepCellShape verifies the result grid: one non-nil SuiteResult per
@@ -131,5 +137,125 @@ func TestSweepCanceledContext(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("canceled sweep returned nil result")
+	}
+}
+
+// TestSweepMatchesPerReleaseLoop is the merge's independent reference:
+// every cell of a memoized sweep must hold the verdicts core.RunSuiteContext
+// reaches on its own for that release — no coordinator, no units, no
+// memo — slot for slot, so a slot-merge bug cannot hide behind a
+// comparison of two coordinator runs. Detail text and the cross-test
+// statistics are left out: which lane faults first, and how often a racy
+// cross variant fails, depend on scheduling.
+func TestSweepMatchesPerReleaseLoop(t *testing.T) {
+	const vendor = "cray"
+	ctx := context.Background()
+	langs := []ast.Lang{ast.LangC, ast.LangFortran}
+	res, err := sweep.Run(ctx, vendor, sweep.Options{Langs: langs, Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vi, ver := range res.Versions {
+		for li, lang := range langs {
+			tc, err := vendors.New(vendor, ver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.RunSuiteContext(ctx, core.Config{Toolchain: tc, Iterations: 1}, core.ByLang(lang))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Cells[vi][li]
+			if got.Compiler != want.Compiler || got.Version != want.Version || got.Lang != want.Lang ||
+				len(got.Results) != len(want.Results) {
+				t.Fatalf("%s %s: cell %s %s %s with %d results, want %s %s %s with %d", ver, lang,
+					got.Compiler, got.Version, got.Lang, len(got.Results),
+					want.Compiler, want.Version, want.Lang, len(want.Results))
+			}
+			for i := range want.Results {
+				if g, w := verdictOf(got.Results[i]), verdictOf(want.Results[i]); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s %s slot %d: sweep %+v, per-release loop %+v", ver, lang, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// verdict is the schedule-independent part of a TestResult.
+type verdict struct {
+	Name, Family        string
+	Lang                ast.Lang
+	Outcome             core.Outcome
+	FuncRuns, FuncFails int
+	Attempts            int
+	HasCross            bool
+	BugIDs              []string
+}
+
+func verdictOf(r core.TestResult) verdict {
+	return verdict{r.Name, r.Family, r.Lang, r.Outcome, r.FuncRuns, r.FuncFails, r.Attempts, r.HasCross, r.BugIDs}
+}
+
+const workerHelperEnv = "ACCV_SWEEP_WORKER_HELPER"
+
+// TestSweepWorkerHelper is not a test: it is the stdio worker subprocess
+// the forked-worker cases re-exec this test binary into (the loop
+// `accval shard-worker` runs). Guarded by workerHelperEnv.
+func TestSweepWorkerHelper(t *testing.T) {
+	if os.Getenv(workerHelperEnv) != "1" {
+		t.Skip("stdio worker re-exec helper; spawned by the forked-worker cases")
+	}
+	if err := shard.ServeStdio(os.Stdin, os.Stdout, sweep.NewExecutor(sweep.ExecOptions{})); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// TestCanceledSweepNamesEverySlot pins the cancellation contract of
+// accv.RunSweep for both worker kinds: a sweep canceled before it starts
+// returns every slot as a Canceled result named after its template —
+// never a zero TestResult, which would read as a nameless Pass — and
+// err is context.Canceled.
+func TestCanceledSweepNamesEverySlot(t *testing.T) {
+	argv := []string{os.Args[0], "-test.run=^TestSweepWorkerHelper$", "-test.count=1"}
+	env := append(os.Environ(), workerHelperEnv+"=1")
+	for _, tc := range []struct {
+		name    string
+		workers func() []sweep.Worker
+	}{
+		{"in-process", func() []sweep.Worker { return nil }},
+		{"forked", func() []sweep.Worker {
+			return []sweep.Worker{shard.NewProcWorker(argv, env), shard.NewProcWorker(argv, env)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			langs := []ast.Lang{ast.LangC, ast.LangFortran}
+			res, err := sweep.Run(ctx, "pgi", sweep.Options{
+				Langs: langs, Family: "data", Iterations: 1, Workers: tc.workers(),
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if res == nil {
+				t.Fatal("canceled sweep returned nil result")
+			}
+			for vi, row := range res.Cells {
+				for li, sr := range row {
+					tpls := sweep.TemplatesFor("data", langs[li])
+					if len(sr.Results) != len(tpls) {
+						t.Fatalf("%s %s: %d slots, want %d", res.Versions[vi], langs[li], len(sr.Results), len(tpls))
+					}
+					for i, r := range sr.Results {
+						if r.Name != tpls[i].Name || r.Outcome != core.Canceled {
+							t.Errorf("%s %s slot %d = %q/%v, want %q/%v", res.Versions[vi], langs[li], i,
+								r.Name, r.Outcome, tpls[i].Name, core.Canceled)
+						}
+					}
+				}
+			}
+		})
 	}
 }

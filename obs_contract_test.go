@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"accv"
-	"accv/internal/shard"
+	"accv/internal/sweep"
 )
 
 // TestTelemetryContract enforces the documentation-first telemetry
@@ -94,15 +94,17 @@ int acc_test()
 		t.Fatalf("divergent spmd kernel: err=%v runtime=%v exit=%d", err, res.Err, res.Exit)
 	}
 
-	// A sharded sweep with two in-process workers sharing the observer:
-	// drives the coordinator's unit counters and the worker gauge.
-	ex := shard.NewExecutor(shard.ExecOptions{Obs: o})
-	if _, err := shard.Run(context.Background(), "pgi",
-		[]accv.Language{accv.C}, shard.Spec{Family: "data"},
-		shard.Options{
-			Workers: []shard.Worker{&shard.LocalWorker{Exec: ex}, &shard.LocalWorker{Exec: ex}},
-			Obs:     o,
-		}); err != nil {
+	// A sharded sweep — explicit workers instead of the in-process pool —
+	// observed on its own, so the checks below see only its telemetry:
+	// the coordinator's unit counters, its worker gauge, and the per-cell
+	// saved-runs gauge its merge publishes.
+	shardObs := accv.NewObserver()
+	ex := sweep.NewExecutor(sweep.ExecOptions{Obs: shardObs})
+	if _, err := sweep.Run(context.Background(), "pgi", sweep.Options{
+		Family:  "data",
+		Workers: []sweep.Worker{&sweep.LocalWorker{Exec: ex}, &sweep.LocalWorker{Exec: ex}},
+		Obs:     shardObs,
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,13 +121,18 @@ int acc_test()
 
 	// Metrics: valid JSON, every name and label key documented.
 	var buf bytes.Buffer
-	if err := o.WriteMetricsJSON(&buf); err != nil {
-		t.Fatal(err)
+	metrics := func(o *accv.Observer) accv.MetricsSnapshot {
+		buf.Reset()
+		if err := o.WriteMetricsJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var snap accv.MetricsSnapshot
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+			t.Fatalf("metrics export is not valid JSON: %v", err)
+		}
+		return snap
 	}
-	var snap accv.MetricsSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("metrics export is not valid JSON: %v", err)
-	}
+	snap, shardSnap := metrics(o), metrics(shardObs)
 	if len(snap.Counters) == 0 || len(snap.Gauges) == 0 || len(snap.Histograms) == 0 {
 		t.Fatalf("export unexpectedly sparse: %d counters, %d gauges, %d histograms",
 			len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
@@ -140,14 +147,16 @@ int acc_test()
 			}
 		}
 	}
-	for _, p := range snap.Counters {
-		checkPoint(p.Name, p.Labels)
-	}
-	for _, p := range snap.Gauges {
-		checkPoint(p.Name, p.Labels)
-	}
-	for _, hp := range snap.Histograms {
-		checkPoint(hp.Name, hp.Labels)
+	for _, snap := range []accv.MetricsSnapshot{snap, shardSnap} {
+		for _, p := range snap.Counters {
+			checkPoint(p.Name, p.Labels)
+		}
+		for _, p := range snap.Gauges {
+			checkPoint(p.Name, p.Labels)
+		}
+		for _, hp := range snap.Histograms {
+			checkPoint(hp.Name, hp.Labels)
+		}
 	}
 
 	// The key hot-path series must actually have fired.
@@ -160,44 +169,30 @@ int acc_test()
 		"accv_store_hits_total", "accv_store_misses_total",
 		"accv_spmd_batched_nests_total", "accv_spmd_fallback_nests_total",
 		"accv_spmd_masked_stores_total",
-		"accv_shard_units_dispatched_total", "accv_shard_units_completed_total",
 	} {
-		found := false
-		for _, p := range snap.Counters {
-			if p.Name == want && p.Value > 0 {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !counterFired(snap, want) {
 			t.Errorf("counter %q never incremented during the contract run", want)
 		}
 	}
-
-	// The sweep must have published the per-cell saved-runs gauge with a
-	// nonzero value somewhere (the data family shares heavily across
-	// adjacent pgi releases).
-	savedSomewhere := false
-	for _, p := range snap.Gauges {
-		if p.Name == "accv_sweep_saved_runs" && p.Value > 0 {
-			savedSomewhere = true
-			break
+	for _, want := range []string{"accv_shard_units_dispatched_total", "accv_shard_units_completed_total"} {
+		if !counterFired(shardSnap, want) {
+			t.Errorf("counter %q never incremented during the sharded sweep", want)
 		}
 	}
-	if !savedSomewhere {
-		t.Error("gauge accv_sweep_saved_runs never rose above zero during the sweep")
+
+	// Both the in-process and the sharded sweep must have published the
+	// per-cell saved-runs gauge with a nonzero value somewhere (the data
+	// family shares heavily across adjacent pgi releases).
+	if !gaugeSeen(snap, "accv_sweep_saved_runs", true) {
+		t.Error("gauge accv_sweep_saved_runs never rose above zero during the in-process sweeps")
+	}
+	if !gaugeSeen(shardSnap, "accv_sweep_saved_runs", true) {
+		t.Error("gauge accv_sweep_saved_runs never rose above zero during the sharded sweep")
 	}
 
-	// The shard coordinator must have published its worker gauge (it ends
-	// at 0 once every dispatch loop retires — presence is the contract).
-	shardWorkersSeen := false
-	for _, p := range snap.Gauges {
-		if p.Name == "accv_shard_workers" {
-			shardWorkersSeen = true
-			break
-		}
-	}
-	if !shardWorkersSeen {
+	// The coordinator must have published its worker gauge (it ends at 0
+	// once every dispatch loop retires — presence is the contract).
+	if !gaugeSeen(shardSnap, "accv_shard_workers", false) {
 		t.Error("gauge accv_shard_workers never published during the sharded sweep")
 	}
 
@@ -244,4 +239,25 @@ int acc_test()
 	if !strings.Contains(buf.String(), "# TYPE accv_tests_total counter") {
 		t.Error("prometheus export missing TYPE line for accv_tests_total")
 	}
+}
+
+// counterFired reports whether the named counter rose above zero.
+func counterFired(snap accv.MetricsSnapshot, name string) bool {
+	for _, p := range snap.Counters {
+		if p.Name == name && p.Value > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// gaugeSeen reports whether the named gauge was published — with a
+// nonzero value somewhere, when positive is set.
+func gaugeSeen(snap accv.MetricsSnapshot, name string, positive bool) bool {
+	for _, p := range snap.Gauges {
+		if p.Name == name && (!positive || p.Value > 0) {
+			return true
+		}
+	}
+	return false
 }

@@ -38,7 +38,7 @@ func TestShardBenchWorkerHelper(t *testing.T) {
 	if os.Getenv(shardBenchHelperEnv) != "1" {
 		t.Skip("stdio worker re-exec helper; spawned by TestWriteShardBench")
 	}
-	if err := shard.ServeStdio(os.Stdin, os.Stdout, shard.NewExecutor(shard.ExecOptions{})); err != nil {
+	if err := shard.ServeStdio(os.Stdin, os.Stdout, sweep.NewExecutor(sweep.ExecOptions{})); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -59,7 +59,7 @@ func benchWorkerSpawn() (argv, env []string) {
 func runShardedSweeps(t *testing.T, workers int, storeDir string) (time.Duration, int64) {
 	t.Helper()
 	argv, env := benchWorkerSpawn()
-	ws := make([]shard.Worker, workers)
+	ws := make([]sweep.Worker, workers)
 	for i := range ws {
 		ws[i] = shard.NewProcWorker(argv, env)
 	}
@@ -68,13 +68,14 @@ func runShardedSweeps(t *testing.T, workers int, storeDir string) (time.Duration
 			w.Close()
 		}
 	}()
-	spec := shard.Spec{Iterations: 1, StoreDir: storeDir}
 	langs := []ast.Lang{ast.LangC, ast.LangFortran}
 	var executed int64
 	start := time.Now()
 	for _, vendor := range []string{"caps", "pgi", "cray"} {
-		res, err := shard.Run(context.Background(), vendor, langs, spec,
-			shard.Options{Workers: ws, Factory: shard.ProcFactory(argv, env)})
+		res, err := sweep.Run(context.Background(), vendor, sweep.Options{
+			Langs: langs, Iterations: 1, StoreDir: storeDir,
+			Workers: ws, Factory: shard.ProcFactory(argv, env),
+		})
 		if err != nil {
 			t.Fatalf("%d-worker sharded %s sweep: %v", workers, vendor, err)
 		}
@@ -115,12 +116,8 @@ func TestWriteShardBench(t *testing.T) {
 		if _, executed := runShardedSweepSmoke(t, dir); executed == 0 {
 			t.Fatal("cold sharded sweep executed zero tests — the measurement is vacuous")
 		}
-		st, err := OpenStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		warm, err := sweep.Run(context.Background(), "pgi", sweep.Options{
-			Langs: []ast.Lang{ast.LangC}, Family: "data", Iterations: 1, Store: st,
+			Langs: []ast.Lang{ast.LangC}, Family: "data", Iterations: 1, StoreDir: dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -190,15 +187,16 @@ func TestWriteShardBench(t *testing.T) {
 func runShardedSweepSmoke(t *testing.T, storeDir string) (*sweep.Result, int64) {
 	t.Helper()
 	argv, env := benchWorkerSpawn()
-	ws := []shard.Worker{shard.NewProcWorker(argv, env), shard.NewProcWorker(argv, env)}
+	ws := []sweep.Worker{shard.NewProcWorker(argv, env), shard.NewProcWorker(argv, env)}
 	defer func() {
 		for _, w := range ws {
 			w.Close()
 		}
 	}()
-	res, err := shard.Run(context.Background(), "pgi", []ast.Lang{ast.LangC},
-		shard.Spec{Family: "data", Iterations: 1, StoreDir: storeDir},
-		shard.Options{Workers: ws})
+	res, err := sweep.Run(context.Background(), "pgi", sweep.Options{
+		Langs: []ast.Lang{ast.LangC}, Family: "data", Iterations: 1, StoreDir: storeDir,
+		Workers: ws,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,8 @@ type storeBench struct {
 // handle, modeling a separate process sharing the directory.
 func storeSweep(t *testing.T, dir, vendor string, iters int) *sweep.Result {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := sweep.Run(context.Background(), vendor, sweep.Options{
-		Langs: []ast.Lang{ast.LangC, ast.LangFortran}, Iterations: iters, Store: st,
+		Langs: []ast.Lang{ast.LangC, ast.LangFortran}, Iterations: iters, StoreDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,21 +69,13 @@ func storeSweep(t *testing.T, dir, vendor string, iters int) *sweep.Result {
 func TestWriteStoreBench(t *testing.T) {
 	out := os.Getenv("BENCH_STORE_OUT")
 	if out == "" {
-		dir := t.TempDir()
-		st, err := store.Open(dir, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Each sweep.Run opens the directory through a fresh executor —
+		// a new handle, as a second process would.
 		opts := sweep.Options{Langs: []ast.Lang{ast.LangC}, Iterations: 1,
-			Family: "data", Store: st}
+			Family: "data", StoreDir: t.TempDir()}
 		if _, err := sweep.Run(context.Background(), "pgi", opts); err != nil {
 			t.Fatal(err)
 		}
-		st2, err := store.Open(dir, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Store = st2
 		warm, err := sweep.Run(context.Background(), "pgi", opts)
 		if err != nil {
 			t.Fatal(err)

@@ -1,5 +1,5 @@
 // The cross-version sweep facade: RunSweep drives internal/sweep, the
-// memoized engine behind accval -sweep and the Fig. 8 / Table I
+// memoized engine behind accval sweep and the Fig. 8 / Table I
 // reproductions. See docs/PERFORMANCE.md, "The cross-version sweep memo".
 package accv
 
@@ -23,8 +23,9 @@ type SweepResult = sweep.Result
 // WithIterations, WithParallelism (the total worker budget across cells),
 // WithTimeout, WithVet, WithEngine, WithRetry, WithObs — plus
 // WithoutSweepMemo for the naive baseline. Canceling ctx returns the
-// partial result with interrupted tests marked Canceled, together with
-// ctx's error.
+// partial result together with ctx's error: cells that completed keep
+// their verdicts, and every test of a cell that did not complete is a
+// Canceled result named after its template.
 func RunSweep(ctx context.Context, vendor string, opts ...Option) (*SweepResult, error) {
 	o := gather(opts)
 	return sweep.Run(ctx, vendor, sweep.Options{
@@ -39,8 +40,8 @@ func RunSweep(ctx context.Context, vendor string, opts ...Option) (*SweepResult,
 		FailFast:    o.failFast,
 		Obs:         o.obs,
 		NoMemo:      o.noMemo,
-		Cache:       o.cache,
-		Memo:        o.memo,
-		Store:       o.store,
+		Exec: sweep.NewExecutor(sweep.ExecOptions{
+			Obs: o.obs, Cache: o.cache, Memo: o.memo, Store: o.store,
+		}),
 	})
 }
