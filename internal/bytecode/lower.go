@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 
 	"accv/internal/ast"
 	"accv/internal/mem"
@@ -81,6 +82,10 @@ func lowerProc(st ast.Stmt, name string) (*Proc, error) {
 		return nil, ErrNotLowerable
 	}
 	lw.emit(Ins{Op: OpEnd})
+	// The executable outlives the lowering (compile caches keep it), so
+	// drop append's growth slack.
+	lw.p.Code = slices.Clone(lw.p.Code)
+	lw.p.Consts = slices.Clone(lw.p.Consts)
 	return lw.p, nil
 }
 

@@ -28,6 +28,8 @@
 package bytecode
 
 import (
+	"slices"
+
 	"accv/internal/ast"
 	"accv/internal/mem"
 	"accv/internal/rt"
@@ -171,6 +173,9 @@ func LowerBatch(name string, dirLine int, body ast.Stmt, ivNames, redNames []str
 		return nil, lw.reason
 	}
 	lw.emit(Ins{Op: BEndBatch})
+	// Shared for the executable's lifetime: drop append's growth slack.
+	lw.p.Code = slices.Clone(lw.p.Code)
+	lw.p.Consts = slices.Clone(lw.p.Consts)
 	return lw.p, ""
 }
 

@@ -180,6 +180,18 @@ type Region struct {
 	// SkipDataExplicit is like SkipDataKind but spares the implicit
 	// (compiler-inserted) data actions.
 	SkipDataExplicit map[directive.ClauseKind]bool
+	// DropReduction records that a bug effect dropped the region's
+	// reduction clauses (Reduction is then empty): the gangs share the
+	// variables they named.
+	DropReduction bool
+}
+
+// Altered reports whether a bug effect made the region's gangs share
+// storage the lane-safety oracle judged gang-private: shared private
+// copies or dropped reductions. No nest inside such a region is proven
+// independent at run time.
+func (r *Region) Altered() bool {
+	return (r.SharePrivates && len(r.Private) > 0) || r.DropReduction
 }
 
 // ScheduleLevel is a bitmask of loop partitioning levels.
@@ -236,6 +248,21 @@ type LoopPlan struct {
 	DropPlan     bool // directive ignored: loop runs as ordinary code
 	PartialLanes bool // only lane 0 of each partitioned level executes its share
 	CollapseSwap bool // collapsed index decomposition transposed (wrong subscripts)
+
+	// ProvenIndependent records the LaneSafety oracle's compile-time
+	// verdict: the nest is partitioned and its lanes provably touch
+	// disjoint locations. Bug effects applied after compilation do not
+	// clear it; the interpreter re-checks Altered.
+	ProvenIndependent bool
+}
+
+// Altered reports whether a bug effect or the Gang0Only serialization
+// changed how the nest executes from the schedule the lane-safety oracle
+// judged. Bug effects apply after compilation, so the interpreter asks
+// again at run time with the run's hooks.
+func (p *LoopPlan) Altered(h Hooks) bool {
+	return p.Redundant || p.NoCombine || p.PartialLanes || p.CollapseSwap ||
+		p.Gang0Only || p.DropPlan || (h.CollapseOuterOnly && p.Collapse > 1)
 }
 
 // Hooks are runtime-behaviour switches toggled by vendor bug effects; the

@@ -15,7 +15,8 @@ import (
 	"accv/internal/bytecode"
 )
 
-// lowerBatches populates exe.Batch / exe.BatchDecline for every loop plan.
+// lowerBatches records each loop plan's oracle verdict and populates
+// exe.Batch / exe.BatchDecline for every loop plan.
 func lowerBatches(exe *Executable) {
 	exe.Batch = make(map[*ast.PragmaStmt]*bytecode.BatchProc)
 	exe.BatchDecline = make(map[*ast.PragmaStmt]string)
@@ -28,7 +29,8 @@ func lowerBatches(exe *Executable) {
 		}
 	}
 	for p, plan := range exe.Loops {
-		if reason := planDecline(plan, verdicts); reason != "" {
+		plan.ProvenIndependent = !plan.Seq && verdicts[plan.Dir.Line] == analysis.LaneProvenIndependent
+		if reason := planDecline(plan, exe.Hooks, verdicts); reason != "" {
 			exe.BatchDecline[p] = reason
 			continue
 		}
@@ -55,13 +57,13 @@ func lowerBatches(exe *Executable) {
 
 // planDecline applies the plan- and oracle-level batch gates. Vendor bug
 // effects mutate plan flags after compilation, so the interpreter re-checks
-// the flag set at run time; this compile-time check handles the reference
+// Altered at run time; this compile-time check handles the reference
 // lowering and produces the stable decline reasons.
-func planDecline(plan *LoopPlan, verdicts map[int]analysis.LaneVerdict) string {
+func planDecline(plan *LoopPlan, hooks Hooks, verdicts map[int]analysis.LaneVerdict) string {
 	if plan.Seq || plan.DropPlan {
 		return "sequential"
 	}
-	if plan.Redundant || plan.NoCombine || plan.PartialLanes || plan.CollapseSwap || plan.Gang0Only {
+	if plan.Altered(hooks) {
 		return "bug-hook"
 	}
 	if len(plan.Private) > 0 {

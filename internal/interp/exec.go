@@ -489,8 +489,9 @@ func (c *execCtx) maybeYield() {
 // tick charges one interpreted operation. Kernel lanes batch their charges
 // into the shared budget counter so concurrent gangs do not serialize on
 // one atomic; the host goroutine batches for the same reason (one atomic
-// add per statement is measurable on the suite profile). Budget and stop
-// checks still run every 64 charges, plenty for hang detection.
+// add per statement is measurable on the suite profile). Charges flush
+// every 64 ops, and step checks the budget and stop request whenever the
+// shared counter crosses a 256-op boundary, plenty for hang detection.
 func (c *execCtx) tick() {
 	if k := c.kernel; k != nil {
 		k.ops++

@@ -43,13 +43,11 @@ func (c *execCtx) batchFor(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops []l
 		}
 		return nil, "no-oracle-entry"
 	}
-	if plan.Redundant || plan.NoCombine || plan.PartialLanes || plan.CollapseSwap ||
-		plan.Gang0Only || plan.DropPlan || len(plan.Private) > 0 ||
-		(c.in.hooks().CollapseOuterOnly && plan.Collapse > 1) {
-		return nil, "bug-hook"
+	if len(plan.Private) > 0 {
+		return nil, "bug-hook" // private nests decline at compile time; this one gained it later
 	}
-	if c.env.HasDeviceViews() {
-		return nil, "device-views"
+	if r := c.planAltered(plan); r != "" {
+		return nil, r
 	}
 	if len(loops) != len(bp.IvNames) {
 		return nil, "nest-shape"
@@ -60,6 +58,20 @@ func (c *execCtx) batchFor(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops []l
 		}
 	}
 	return bp, ""
+}
+
+// planAltered reports why the nest does not run the schedule the
+// compile-time oracle judged: "bug-hook" when the plan is Altered,
+// "device-views" when host_data bindings are in scope; "" otherwise. Both
+// the batch gate and the yield gate require "".
+func (c *execCtx) planAltered(plan *compiler.LoopPlan) string {
+	if plan.Altered(c.in.hooks()) {
+		return "bug-hook"
+	}
+	if c.env.HasDeviceViews() {
+		return "device-views"
+	}
+	return ""
 }
 
 // bval is one batch register: a uniform value or a lane-indexed slice.

@@ -215,6 +215,7 @@ func applyEffectTracked(e Effect, exe *compiler.Executable, bugID string) (diags
 		case ActRegionDropReduction:
 			if len(r.Reduction) > 0 {
 				fired = true
+				r.DropReduction = true
 			}
 			r.Reduction = nil
 		}

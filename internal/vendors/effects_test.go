@@ -253,6 +253,48 @@ int acc_test() {
 	}
 }
 
+func TestEffectRegionDropReductionRaces(t *testing.T) {
+	src := `
+int acc_test() {
+    int n = 256;
+    int i;
+    int sum = 0;
+    int a[256];
+    for (i = 0; i < n; i++) a[i] = 1;
+    #pragma acc parallel copyin(a[0:n]) copy(sum) num_gangs(8) reduction(+:sum)
+    {
+        #pragma acc loop gang
+        for (i = 0; i < n; i++) {
+            sum = sum + a[i];
+        }
+    }
+    return sum;
+}
+`
+	// The gang loop is proven independent while the reduction privatizes
+	// sum per gang. With the clause dropped the gangs share sum, so the
+	// nest must keep yielding and lose updates within a few seeds.
+	lost := false
+	for seed := int64(0); seed < 6 && !lost; seed++ {
+		v := &Vendor{name: "t", version: "1", bugs: []Bug{
+			bug(ast.LangC, "b", "dropped reduction", "", "", regionDropReduction(onParallel)),
+		}}
+		prog, _ := cfront.Parse(src)
+		exe, _, err := v.Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := interp.Run(exe, interp.RunConfig{Platform: device.NewPlatform(device.Config{}, 1), Seed: seed})
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		lost = r.Exit != 256
+	}
+	if !lost {
+		t.Error("gangs sharing the dropped reduction's variable never lost an update in 6 seeds")
+	}
+}
+
 func TestEffectLoopDropMakesRedundantExecution(t *testing.T) {
 	src := `
 int acc_test() {

@@ -178,8 +178,11 @@ func TestWriteSpmdBench(t *testing.T) {
 			"environment chain, or per-lane procedure activation; divergence executes both arms under " +
 			"an execution mask and reductions fold per-worker partials in ascending lane order, so " +
 			"results stay byte-identical to the VM and tree engines (interp_vm_test.go). The suite " +
-			"speedup is smaller than the kernel's because suite time is dominated by generation, " +
-			"parsing, compilation, and host code. Regenerate with: BENCH_SPMD_OUT=BENCH_spmd.json " +
+			"speedup is smaller than the kernel's, and execution, not generation or compilation, " +
+			"dominates suite time: in a traced accval run -lang c -j 1 the functional and cross runs " +
+			"take 93-96% of wall time and generate+parse+compile 4-7%, most of it in eight async and " +
+			"parallel_if templates; spans do not yet attribute what bounds the speedup inside " +
+			"execution. Regenerate with: BENCH_SPMD_OUT=BENCH_spmd.json " +
 			"go test -run TestWriteSpmdBench -v .",
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")
