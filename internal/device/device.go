@@ -13,7 +13,9 @@
 package device
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -252,9 +254,11 @@ func (d *Device) Free(p mem.Ptr) error {
 
 // Launch runs a kernel of `gangs` gang goroutines. When q is nil the launch
 // is synchronous; otherwise it is enqueued on q in FIFO order and Launch
-// returns immediately. The kernel function receives the gang index; errors
-// from any gang abort the kernel and surface either directly (sync) or at
-// the next wait (async).
+// returns immediately. The kernel function receives the gang index; the
+// error of the lowest-numbered failing gang surfaces either directly (sync)
+// or at the next wait (async). Choosing by gang index rather than by which
+// gang failed first in wall time keeps the reported fault independent of
+// goroutine scheduling.
 func (d *Device) Launch(q *Queue, gangs int, kernel func(gang int) error) error {
 	if gangs < 1 {
 		gangs = 1
@@ -265,23 +269,21 @@ func (d *Device) Launch(q *Queue, gangs int, kernel func(gang int) error) error 
 	run := func() error {
 		d.Stats.Kernels.Add(1)
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var first error
+		errs := make([]error, gangs)
 		for g := 0; g < gangs; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				if err := kernel(g); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-				}
+				errs[g] = kernel(g)
 			}(g)
 		}
 		wg.Wait()
-		return first
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if q == nil {
 		return run()
@@ -320,8 +322,8 @@ func (d *Device) TestAll() bool {
 	return true
 }
 
-// WaitAll blocks until every async queue has drained and returns the first
-// deferred error (acc_async_wait_all).
+// WaitAll blocks until every async queue has drained and returns the
+// deferred error of the lowest-tagged failing queue (acc_async_wait_all).
 func (d *Device) WaitAll() error {
 	d.mu.Lock()
 	qs := make([]*Queue, 0, len(d.queues))
@@ -329,6 +331,7 @@ func (d *Device) WaitAll() error {
 		qs = append(qs, q)
 	}
 	d.mu.Unlock()
+	slices.SortFunc(qs, func(a, b *Queue) int { return cmp.Compare(a.Tag, b.Tag) })
 	var first error
 	for _, q := range qs {
 		if err := q.Wait(); err != nil && first == nil {
