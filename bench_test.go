@@ -294,6 +294,57 @@ int acc_test()
 	}
 }
 
+// BenchmarkKernelLaunch measures the fixed cost of a short kernel: the
+// shape of the parallel_if cross variant, 200 launches of a 200-iteration
+// parallel loop inside one data region. The kernels are too small for
+// their bodies to dominate, so ns/launch tracks gang and worker dispatch,
+// lane setup and the subscript path (docs/PERFORMANCE.md "Kernel dispatch
+// and subscripts").
+func BenchmarkKernelLaunch(b *testing.B) {
+	const launches = 200
+	src := fmt.Sprintf(`
+int acc_test()
+{
+    int n = 200;
+    int i, j, m, errors;
+    int a[200], b[200], c[200];
+    for (i = 0; i < n; i++) { a[i] = i; b[i] = 2*i; c[i] = 0; }
+    #pragma acc data copy(c[0:n]) copyin(a[0:n], b[0:n])
+    {
+        for (m = 0; m < %d; m++) {
+            #pragma acc parallel loop
+            for (j = 0; j < n; j++) {
+                c[j] += a[j] + b[j];
+            }
+        }
+    }
+    errors = 0;
+    for (i = 0; i < n; i++) {
+        if (c[i] != %d*(a[i] + b[i])) errors++;
+    }
+    return (errors == 0);
+}
+`, launches, launches)
+	tc, _ := vendors.New("reference", "")
+	prog, err := Parse(src, C)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exe, _, err := tc.Compile(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plat := device.NewPlatform(tc.DeviceConfig(), 1)
+		r := interp.Run(exe, interp.RunConfig{Platform: plat})
+		if r.Err != nil || r.Exit != 1 || r.Kernels != launches {
+			b.Fatalf("run failed: %v exit=%d kernels=%d", r.Err, r.Exit, r.Kernels)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*launches), "ns/launch")
+}
+
 // BenchmarkVendorMappingAblation compares the simulated kernel cost of a
 // worker-level loop under the three vendor gang/worker/vector mappings
 // (§II): PGI ignores the worker level, so the same program serializes onto

@@ -252,9 +252,9 @@ func (d *Device) Free(p mem.Ptr) error {
 	return nil
 }
 
-// Launch runs a kernel of `gangs` gang goroutines. When q is nil the launch
-// is synchronous; otherwise it is enqueued on q in FIFO order and Launch
-// returns immediately. The kernel function receives the gang index; the
+// Launch runs a kernel of `gangs` gangs, one lane each (RunLanes). When q
+// is nil the launch is synchronous; otherwise it is enqueued on q in FIFO
+// order and Launch returns immediately. The kernel function receives the gang index; the
 // error of the lowest-numbered failing gang surfaces either directly (sync)
 // or at the next wait (async). Choosing by gang index rather than by which
 // gang failed first in wall time keeps the reported fault independent of
@@ -268,16 +268,8 @@ func (d *Device) Launch(q *Queue, gangs int, kernel func(gang int) error) error 
 	}
 	run := func() error {
 		d.Stats.Kernels.Add(1)
-		var wg sync.WaitGroup
 		errs := make([]error, gangs)
-		for g := 0; g < gangs; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				errs[g] = kernel(g)
-			}(g)
-		}
-		wg.Wait()
+		RunLanes(gangs, func(g int) { errs[g] = kernel(g) })
 		for _, err := range errs {
 			if err != nil {
 				return err

@@ -3,11 +3,11 @@ package interp
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"accv/internal/ast"
 	"accv/internal/compiler"
+	"accv/internal/device"
 	"accv/internal/mem"
 )
 
@@ -279,8 +279,9 @@ type redVar struct {
 }
 
 // runLoopLanes distributes the collapsed iteration space across the
-// partitioning levels: gang filtering uses this lane's gang id, worker
-// partitioning spawns worker goroutines, and vector lanes are virtualized
+// partitioning levels: each gang × worker lane steps through the
+// iterations it owns (ownedIters), worker partitioning runs the workers on
+// device lanes (device.RunLanes), and vector lanes are virtualized
 // within each worker — each lane keeps its own private/induction
 // environment but executes sequentially on the worker's goroutine
 // (exactly-once execution is preserved; vector width feeds the timing
@@ -307,11 +308,12 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 				return err
 			}
 			if n := v.AsInt(); n > 0 {
-				W = n
+				// Clamped to the backend limit, as the region-level
+				// num_workers is.
+				W = min(n, int64(c.in.plat.Current().Cfg.Backend.WorkerLimit))
 			}
 		}
 	}
-	redundant := plan.Redundant
 
 	// Resolve private and reduction variable templates in this context.
 	var reds []redVar
@@ -341,7 +343,6 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 	if in.rc != nil {
 		raceInv = in.rc.id()
 	}
-	var wg sync.WaitGroup
 	var firstErr error
 	var maxOps atomic.Int64
 	partials := make([][]mem.Value, W)
@@ -367,7 +368,6 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 
 	mode := c.laneMode(plan)
 	worker := func(w int64) {
-		defer wg.Done()
 		defer func() {
 			if rec := recover(); rec != nil {
 				if s, ok := rec.(stopSignal); ok {
@@ -403,6 +403,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 		type laneState struct {
 			ctx *execCtx
 			ivs []*VarInfo
+			ivw []*uint64 // the induction variables' words
 		}
 		lanes := make([]*laneState, V)
 		laneFor := func(v int64) *laneState {
@@ -416,23 +417,17 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 				l.ctx.env.Bind(makePrivate(tmpl, nil, int64(lk.rng)^(v*31+int64(pi))))
 			}
 			l.ivs = make([]*VarInfo, len(loops))
+			l.ivw = make([]*uint64, len(loops))
 			for i, d := range loops {
 				iv := newScalar(d.varName, mem.KInt, mem.Device)
-				l.ivs[i] = iv
+				l.ivs[i], l.ivw[i] = iv, iv.Buf.WordAt(0)
 				l.ctx.env.Bind(iv)
 			}
 			lanes[v] = l
 			return l
 		}
-		for t := int64(0); t < total; t++ {
-			if !redundant {
-				if hasGang && t%G != gi {
-					continue
-				}
-				if hasWorker && (t/G)%W != w {
-					continue
-				}
-			}
+		start, stride := ownedIters(G, gi, W, w, plan.Redundant)
+		for t := start; t < total; t += stride {
 			if plan.PartialLanes {
 				// Miscompiled stride: only lane 0 of each partitioned level
 				// executes its share, so part of the iteration space is
@@ -461,7 +456,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 					// transposed across the collapsed loops.
 					iv = len(loops) - 1 - i
 				}
-				_ = l.ivs[iv].Buf.Store(0, mem.Int(loops[iv].start+idx*loops[iv].step))
+				l.ivs[iv].Buf.StoreWord(l.ivw[iv], mem.Int(loops[iv].start+idx*loops[iv].step))
 			}
 			l.ctx.tick()
 			if _, err := l.ctx.exec(body); err != nil {
@@ -480,15 +475,7 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 	}
 
 	if !batched {
-		for w := int64(0); w < W; w++ {
-			wg.Add(1)
-			if W == 1 {
-				worker(w) // avoid goroutine churn for unpartitioned workers
-			} else {
-				go worker(w)
-			}
-		}
-		wg.Wait()
+		device.RunLanes(int(W), func(w int) { worker(int64(w)) })
 		for _, err := range workerErr {
 			if err != nil {
 				firstErr = err
@@ -530,13 +517,25 @@ func (c *execCtx) runLoopLanes(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops
 	return nil
 }
 
+// ownedIters returns the first iteration a lane runs and the distance to
+// its next: gang gi of G and worker w of W own the iterations
+// t = gi + G·(w + W·k), k = 0, 1, …, in ascending order — exactly those
+// with t%G == gi and (t/G)%W == w. A lane without a gang or worker level
+// passes G=1, gi=0 or W=1, w=0. Redundant lanes run every iteration.
+func ownedIters(G, gi, W, w int64, redundant bool) (start, stride int64) {
+	if redundant {
+		return 0, 1
+	}
+	return gi + G*w, G * W
+}
+
 // laneMode is the yield gate. A nest is quiet, and its lanes yield only
 // rarely (maybeYield), when the oracle proved it lane-independent, it runs
 // the schedule the oracle judged (planAltered), no enclosing nest or
 // Altered region can race, and -race-check is off, whose runs keep the
 // faithful schedule.
 func (c *execCtx) laneMode(plan *compiler.LoopPlan) nestMode {
-	if plan.ProvenIndependent && c.kernel.nest != nestRacy && c.in.rc == nil && c.planAltered(plan) == "" {
+	if plan.ProvenIndependent && c.kernel.nest != nestRacy && !c.kernel.regionAltered && c.in.rc == nil && c.planAltered(plan) == "" {
 		return nestQuiet
 	}
 	return nestRacy

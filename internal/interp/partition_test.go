@@ -205,3 +205,23 @@ int acc_test()
 		t.Fatalf("empty loop: %v exit=%d", res.Err, res.Exit)
 	}
 }
+
+// TestLoopWorkerArgClamped pins worker(n) on a loop to the backend's
+// worker limit (64 on CUDA), as num_workers on the region is: 130
+// iterations over 65 or 100 workers cost the simulated cycles of 64
+// workers, where the slowest worker runs three iterations, not two.
+func TestLoopWorkerArgClamped(t *testing.T) {
+	cycles := func(workers int) int64 {
+		res := runSrc(t, partitionProgram(fmt.Sprintf("worker(%d)", workers), 1, 4, 1, 130), 1)
+		if res.Err != nil || res.Exit != 1 {
+			t.Fatalf("worker(%d): %v exit=%d", workers, res.Err, res.Exit)
+		}
+		return res.SimCycles
+	}
+	limit := cycles(64)
+	for _, w := range []int{65, 100} {
+		if got := cycles(w); got != limit {
+			t.Errorf("worker(%d) cost %d simulated cycles, worker(64) %d", w, got, limit)
+		}
+	}
+}

@@ -24,9 +24,11 @@ type kernelState struct {
 	// raceGang is the gang instance's unique id under -race-check; zero
 	// when the tracker is off. Gang instances of one launch race freely.
 	raceGang int64
-	// nest is the lane's yield-gate state: runLoopLanes sets it per nest,
-	// and region entry sets nestRacy when a bug effect Altered the region.
+	// nest is the lane's yield-gate state: runLoopLanes sets it per nest.
 	nest nestMode
+	// regionAltered records that a bug effect Altered the region
+	// (compiler.Region.Altered): no nest inside is quiet or batches.
+	regionAltered bool
 }
 
 // nestMode is a lane's position relative to partitioned loop nests.
@@ -39,7 +41,7 @@ const (
 	// enclosing nest; interleaving among its lanes is unobservable.
 	nestQuiet
 	// nestRacy: a nest whose lanes, or an enclosing nest's, can race, or
-	// anywhere in an Altered region.
+	// any nest in an Altered region.
 	nestRacy
 )
 
@@ -552,9 +554,7 @@ func (c *execCtx) execCompute(p *ast.PragmaStmt, r *compiler.Region) error {
 			if in.rc != nil {
 				k.raceGang = in.rc.id()
 			}
-			if r.Altered() {
-				k.nest = nestRacy // every nest inside keeps yielding
-			}
+			k.regionAltered = r.Altered()
 			kc := &execCtx{in: in, env: genv, kernel: k}
 			if combinedPlan != nil {
 				err2 := kc.execLoop(p, combinedPlan)

@@ -49,6 +49,9 @@ func (c *execCtx) batchFor(p *ast.PragmaStmt, plan *compiler.LoopPlan, loops []l
 	if r := c.planAltered(plan); r != "" {
 		return nil, r
 	}
+	if c.kernel.regionAltered {
+		return nil, "region-altered" // its gangs share storage the oracle judged private
+	}
 	if len(loops) != len(bp.IvNames) {
 		return nil, "nest-shape"
 	}
@@ -403,7 +406,7 @@ func (b *batchExec) run() error {
 						pc++
 						continue
 					}
-					*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.Word0()}
+					*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.WordAt(0)}
 				} else if v, ok := runtimeConstants[name]; ok {
 					*lc = vmLoad{state: vmValue, val: v}
 					b.setU(ins.A, v)
@@ -434,7 +437,7 @@ func (b *batchExec) run() error {
 				return err
 			}
 			val := b.regs[ins.B].u
-			if w := v.Buf.Word0(); w != nil {
+			if w := v.Buf.WordAt(0); w != nil {
 				v.Buf.StoreWord(w, val)
 				break
 			}
@@ -448,7 +451,7 @@ func (b *batchExec) run() error {
 				return err
 			}
 			var old mem.Value
-			if w := v.Buf.Word0(); w != nil {
+			if w := v.Buf.WordAt(0); w != nil {
 				old = v.Buf.LoadWord(w)
 			} else {
 				old, err = v.Buf.Load(0)
@@ -460,7 +463,7 @@ func (b *batchExec) run() error {
 			if err != nil {
 				return vmErrf(ins.Line, "%v", err)
 			}
-			if w := v.Buf.Word0(); w != nil {
+			if w := v.Buf.WordAt(0); w != nil {
 				v.Buf.StoreWord(w, nv)
 				break
 			}

@@ -145,7 +145,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 				return ctlNone, err
 			}
 			c.maybeYield()
-			if w := v.Buf.Word0(); w != nil {
+			if w := v.Buf.WordAt(0); w != nil {
 				v.Buf.StoreWord(w, regs[ins.B])
 				break
 			}
@@ -159,7 +159,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 				return ctlNone, err
 			}
 			c.maybeYield()
-			if w := v.Buf.Word0(); w != nil {
+			if w := v.Buf.WordAt(0); w != nil {
 				nv, err := rt.BinOp(ast.OpKind(ins.D), v.Buf.LoadWord(w), regs[ins.B])
 				if err != nil {
 					return ctlNone, vmErrf(ins.Line, "%v", err)
@@ -182,6 +182,11 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			}
 
 		case bytecode.OpLoadIdx:
+			if buf, w := c.vmWordAt(f, ins.B, ins.C, ins.D); w != nil {
+				c.maybeYield()
+				buf.LoadWordInto(w, &regs[ins.A])
+				break
+			}
 			buf, off, err := c.vmIndexTarget(f, ins.B, ins.C, ins.D, ins.Line)
 			if err != nil {
 				return ctlNone, err
@@ -194,6 +199,11 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			regs[ins.A] = v
 
 		case bytecode.OpStoreIdx:
+			if buf, w := c.vmWordAt(f, ins.A, ins.B, ins.C); w != nil {
+				c.maybeYield()
+				buf.StoreWord(w, regs[ins.D])
+				break
+			}
 			buf, off, err := c.vmIndexTarget(f, ins.A, ins.B, ins.C, ins.Line)
 			if err != nil {
 				return ctlNone, err
@@ -204,6 +214,16 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			}
 
 		case bytecode.OpAugIdx:
+			if buf, w := c.vmWordAt(f, ins.A, ins.B, ins.C); w != nil {
+				c.maybeYield()
+				nv, err := rt.BinOp(ast.OpKind(ins.E), buf.LoadWord(w), regs[ins.D])
+				if err != nil {
+					return ctlNone, vmErrf(ins.Line, "%v", err)
+				}
+				c.maybeYield()
+				buf.StoreWord(w, nv)
+				break
+			}
 			buf, off, err := c.vmIndexTarget(f, ins.A, ins.B, ins.C, ins.Line)
 			if err != nil {
 				return ctlNone, err
@@ -314,7 +334,7 @@ func (c *execCtx) run(p *bytecode.Proc, f *vmFrame) (ctl, error) {
 			if v.IsArray() {
 				*lc = vmLoad{state: vmArray, v: v, val: mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias})}
 			} else {
-				*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.Word0()}
+				*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.WordAt(0)}
 			}
 
 		case bytecode.OpEscape:
@@ -441,7 +461,7 @@ func (c *execCtx) vmLoadVar(f *vmFrame, ins *bytecode.Ins) (mem.Value, error) {
 				*lc = vmLoad{state: vmArray, v: v, val: mem.PtrVal(mem.Ptr{Buf: v.Buf, Off: -v.Bias})}
 				return lc.val, nil
 			}
-			*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.Word0()}
+			*lc = vmLoad{state: vmScalar, v: v, w: v.Buf.WordAt(0)}
 			break
 		}
 		if v, ok := runtimeConstants[name]; ok {
@@ -490,6 +510,31 @@ func (c *execCtx) vmScalarTarget(f *vmFrame, slot int32, line int32) (*VarInfo, 
 		return nil, err
 	}
 	return v, nil
+}
+
+// vmWordAt is the subscript fast path. When the slot is resolved to a
+// non-pointer 1-D array in this context's space, its buffer is unboxed,
+// and the one subscript is an in-range KInt, it returns the buffer and the
+// element's word — the element vmIndexTarget would address. Every other
+// case, every error included, returns a nil word and the caller takes
+// vmIndexTarget, so diagnostics come from one place.
+func (c *execCtx) vmWordAt(f *vmFrame, slot, idxBase, idxN int32) (*mem.Buffer, *uint64) {
+	v := f.vars[slot]
+	if v == nil || idxN != 1 || v.IsPtr || len(v.Dims) != 1 || v.Buf.Space != c.space() {
+		return nil, nil
+	}
+	x := &f.regs[idxBase]
+	if x.K != mem.KInt {
+		return nil, nil
+	}
+	rel := x.I
+	if len(v.Lower) > 0 {
+		rel -= int64(v.Lower[0])
+	}
+	if rel < 0 || rel >= int64(v.Dims[0]) {
+		return nil, nil
+	}
+	return v.Buf, v.Buf.WordAt(int(rel) - v.Bias)
 }
 
 // vmIndexTarget mirrors indexTarget for an Ident base with subscripts in

@@ -274,20 +274,22 @@ func (b *Buffer) unbits(w uint64) Value {
 	return Value{K: b.Elem, F: math.Float64frombits(w)}
 }
 
-// Word0 returns the address of element 0's unboxed word, or nil for boxed
-// buffers (pointer and string elements). The interpreter's VM caches it per
-// frame slot so scalar loads and stores skip Load/Store's bounds check and
-// representation dispatch; the word array is allocated once in NewBuffer and
-// never moves, so a cached address stays valid for the buffer's lifetime.
-func (b *Buffer) Word0() *uint64 {
-	if len(b.words) > 0 {
-		return &b.words[0]
+// WordAt returns the address of element i's unboxed word, or nil for boxed
+// buffers (pointer and string elements) and for i outside [0, Len) — the
+// cases Load and Store report or dispatch on. The interpreter's VM caches
+// scalars' WordAt(0) per frame slot and resolves in-range array subscripts
+// through it, skipping Load/Store's bounds check and representation
+// dispatch; the word array is allocated once in NewBuffer and never moves,
+// so a cached address stays valid for the buffer's lifetime.
+func (b *Buffer) WordAt(i int) *uint64 {
+	if uint(i) < uint(len(b.words)) {
+		return &b.words[i]
 	}
 	return nil
 }
 
 // LoadWord atomically reads the unboxed word at w as a typed value. w must
-// come from this buffer's Word0.
+// come from this buffer's WordAt.
 func (b *Buffer) LoadWord(w *uint64) Value {
 	return b.unbits(atomic.LoadUint64(w))
 }

@@ -109,13 +109,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// checkVersion stamps a fresh directory and verifies an existing one.
+// checkVersion stamps a fresh directory and verifies an existing one. The
+// stamp is written like an entry (writeAtomic), so an Open racing the
+// stamping one reads no VERSION or the whole of it, never an empty file.
 func checkVersion(dir string) error {
 	path := filepath.Join(dir, versionFile)
 	want := fmt.Sprintf("accv-result-store schema %d\n", SchemaVersion)
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return os.WriteFile(path, []byte(want), 0o644)
+		return writeAtomic(path, []byte(want))
 	}
 	if err != nil {
 		return fmt.Errorf("store: reading %s: %w", path, err)

@@ -161,6 +161,33 @@ func TestSchemaRefusal(t *testing.T) {
 	}
 }
 
+// TestConcurrentOpenFreshDirs pins the version stamp's atomicity: Opens
+// racing on a fresh directory must all accept it. A stamp written in place
+// can be read after it is created and before it is written, and the reader
+// then refuses the store with `VERSION holds ""`.
+func TestConcurrentOpenFreshDirs(t *testing.T) {
+	const dirs, openers = 100, 8
+	root := t.TempDir()
+	for d := 0; d < dirs; d++ {
+		dir := filepath.Join(root, strconv.Itoa(d))
+		errs := make(chan error, openers)
+		start := make(chan struct{})
+		for g := 0; g < openers; g++ {
+			go func() {
+				<-start
+				_, err := Open(dir, Options{})
+				errs <- err
+			}()
+		}
+		close(start)
+		for g := 0; g < openers; g++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("dir %d: %v", d, err)
+			}
+		}
+	}
+}
+
 // TestEvictionCap pins the LRU bound: pushing past the cap evicts the
 // least-recently-used entries, deletes their files, and counts it.
 func TestEvictionCap(t *testing.T) {

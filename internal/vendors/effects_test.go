@@ -295,6 +295,58 @@ int acc_test() {
 	}
 }
 
+// TestEffectRegionDropReductionDeclinesBatch is the SPMD engine's side of
+// TestEffectRegionDropReductionRaces: a nest the engine batches in an
+// intact region must fall back, as region-altered, once a dropped
+// reduction makes the region's gangs share sum — the batched path has no
+// yield points, so it would run the altered region on a schedule the
+// oracle never judged.
+func TestEffectRegionDropReductionDeclinesBatch(t *testing.T) {
+	src := `
+int acc_test() {
+    int n = 256;
+    int i, errors;
+    int sum = 0;
+    int a[256];
+    for (i = 0; i < n; i++) a[i] = i;
+    #pragma acc parallel copy(a[0:n]) copy(sum) num_gangs(8) reduction(+:sum)
+    {
+        #pragma acc loop gang
+        for (i = 0; i < n; i++) {
+            a[i] = a[i] + 1;
+        }
+        sum = sum + 1;
+    }
+    errors = 0;
+    for (i = 0; i < n; i++) {
+        if (a[i] != i + 1) errors++;
+    }
+    return (errors == 0);
+}
+`
+	run := func(bugs []Bug) interp.Result {
+		t.Helper()
+		v := &Vendor{name: "t", version: "1", bugs: bugs}
+		prog, _ := cfront.Parse(src)
+		exe, _, err := v.Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := interp.Run(exe, interp.RunConfig{Platform: device.NewPlatform(device.Config{}, 1), Engine: interp.EngineSPMD})
+		if r.Err != nil || r.Exit != 1 {
+			t.Fatalf("exit=%d err=%v", r.Exit, r.Err)
+		}
+		return r
+	}
+	if r := run(nil); r.SpmdBatchedNests == 0 {
+		t.Fatalf("the nest does not batch in the intact region (fallbacks %v)", r.SpmdFallbacks)
+	}
+	r := run([]Bug{bug(ast.LangC, "b", "dropped reduction", "", "", regionDropReduction(onParallel))})
+	if r.SpmdBatchedNests != 0 || r.SpmdFallbacks["region-altered"] == 0 {
+		t.Fatalf("batched %d nests, fallbacks %v; want the nest declined as region-altered", r.SpmdBatchedNests, r.SpmdFallbacks)
+	}
+}
+
 func TestEffectLoopDropMakesRedundantExecution(t *testing.T) {
 	src := `
 int acc_test() {
